@@ -67,12 +67,15 @@ apiseal:
 	$(GO) test ./sched -run TestAPISeal -count 1
 	$(GO) test ./tests -run TestExternalConsumerBuilds -count 1
 
-# fuzz runs each loader fuzz target for FUZZTIME (the CI smoke uses 20s;
-# raise it locally for a real hunt). Go runs one -fuzz target per
-# invocation, hence the seven lines. Seed corpora are committed under
+# fuzz runs each fuzz target for FUZZTIME (the CI smoke uses 20s; raise it
+# locally for a real hunt): the seven loader targets and FuzzBSA, the
+# scheduler's differential target (both backends against the full-rebuild
+# oracle on generated instances). Go runs one -fuzz target per
+# invocation, hence the eight lines. Seed corpora are committed under
 # sched/testdata/fuzz, sched/{graph,system,workload}/testdata/fuzz and
 # the golden interchange files; the workload corpora are seeded from the
-# testdata/workloads scenario pack.
+# testdata/workloads scenario pack, and FuzzBSA's seeds are f.Add entries
+# covering every topology family.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./sched/graph -run '^$$' -fuzz '^FuzzGraphFromDOT$$' -fuzztime $(FUZZTIME)
@@ -82,6 +85,7 @@ fuzz:
 	$(GO) test ./sched -run '^$$' -fuzz '^FuzzDeltaFromJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./sched/workload -run '^$$' -fuzz '^FuzzWorkloadSTG$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./sched/workload -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzBSA$$' -fuzztime $(FUZZTIME)
 
 # atlas regenerates the README results atlas in one command: every
 # topology family x algorithm x heterogeneity on one seeded instance,

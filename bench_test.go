@@ -3,7 +3,7 @@ package repro_test
 // Benchmarks regenerating the paper's evaluation at reduced scale: one
 // benchmark per table/figure, per-algorithm runtime benchmarks backing the
 // paper's "running times ... about the same" claim, and ablation benchmarks
-// for the design choices called out in DESIGN.md. Every benchmark reports
+// for BSA's design choices (BenchmarkBSAAblations). Every benchmark reports
 // the mean schedule length of its workload as the custom metric "SL" so
 // quality and speed are visible side by side:
 //
@@ -164,26 +164,22 @@ func benchInstance(b *testing.B, n int) (*graph.Graph, *system.System) {
 }
 
 // benchEngines are the engine configurations the BSA benchmarks compare:
-// the default (candidate cache + route arena + cone updates; the cached
-// engine prefetches rows in parallel), the cache-off engine (the PR-1
-// configuration: speculative parallel batch evaluation, for the cache's
-// before/after trajectory) and the full-rebuild oracle. The oracle runs
-// the full matrix — ~3s/iteration at n=2000 is the slowest point — so
-// every row has an oracle counterpart and cmd/benchjson derives a
-// host-portable speedup ratio for all of them.
+// the incremental engine (cone updates, candidate cache, route arena) and
+// the full-rebuild oracle. The oracle runs the full matrix — ~3s/iteration
+// at n=2000 is the slowest point — so every row has an oracle counterpart
+// and cmd/benchjson derives a host-portable speedup ratio for all of them.
 var benchEngines = []struct {
 	name string
 	opt  core.Options
 }{
 	{"incremental", core.Options{}},
-	{"incremental-nocache", core.Options{DisableCandidateCache: true}},
-	{"oracle", core.Options{UseFullRebuild: true, Workers: 1}},
+	{"oracle", core.Options{UseFullRebuild: true}},
 }
 
-// BenchmarkBSA compares the incremental engine variants against the
-// full-rebuild oracle engine on the paper's graph-size range, and also
-// backs the paper's running-time comparison against DLS ("the running
-// times of both algorithms ... were about the same"). All engines produce
+// BenchmarkBSA compares the incremental engine against the full-rebuild
+// oracle engine on the paper's graph-size range, and also backs the
+// paper's running-time comparison against DLS ("the running times of both
+// algorithms ... were about the same"). Both engines produce
 // byte-identical schedules (the SL metric must match line for line); the
 // incremental engine's advantage grows with graph size. CI gates on this
 // benchmark's oracle-relative speedups (see cmd/benchcmp).
@@ -373,9 +369,10 @@ func BenchmarkCPOP(b *testing.B) {
 	b.ReportMetric(sl, "SL")
 }
 
-// BenchmarkBSAAblations measures the design choices DESIGN.md calls out:
-// the VIP-follow rule, route pruning, the migration guard and the
-// sweep-to-fixpoint loop (MaxSweeps=1 is the paper's literal single pass).
+// BenchmarkBSAAblations measures the choices this implementation makes
+// where the paper's pseudocode is silent or literal-minded: the VIP-follow
+// rule, route pruning, the migration guard and the sweep-to-fixpoint loop
+// (MaxSweeps=1 is the paper's literal single pass).
 func BenchmarkBSAAblations(b *testing.B) {
 	variants := []struct {
 		name string

@@ -165,10 +165,10 @@ func trimGOMAXPROCS(name string) string {
 	return name
 }
 
-// speedups pairs benchmarks whose name contains an exact "incremental" or
-// "incremental-seq" path segment with their "/oracle/" counterpart and
-// reports oracle/incremental time ratios, keyed by the incremental
-// benchmark's full name.
+// speedups pairs benchmarks whose name contains an exact "incremental"
+// path segment with their "/oracle/" counterpart and reports
+// oracle/incremental time ratios, keyed by the incremental benchmark's
+// full name.
 func speedups(benches []Benchmark) map[string]float64 {
 	byName := make(map[string]float64, len(benches))
 	for _, b := range benches {
@@ -182,7 +182,7 @@ func speedups(benches []Benchmark) map[string]float64 {
 		segs := strings.Split(name, "/")
 		paired := false
 		for i, seg := range segs {
-			if seg == "incremental" || seg == "incremental-seq" || seg == "incremental-nocache" {
+			if seg == "incremental" {
 				segs[i] = "oracle"
 				paired = true
 				break

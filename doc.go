@@ -33,14 +33,18 @@
 // re-derive only their dependency cone (event-driven cone updates); a
 // sweep-level candidate cache memoizes each task's neighbour finish-time
 // row and re-evaluates only the rows and entries a commit's cone stamped
-// (sched.WithCandidateCache, default on — the run's fixpoint sweep costs
-// zero evaluations and zero allocations); and the hot paths are
-// arena-backed (offset/length route views, pooled evaluation scratch,
-// in-place route normalization, single-search timeline reservations).
+// (always on — the run's fixpoint sweep costs zero evaluations and zero
+// allocations); the slot state lives in one of two backends, picked from
+// the network's link density; and the hot paths are arena-backed
+// (offset/length route views, reused evaluation scratch, in-place route
+// normalization, single-search timeline reservations). Candidate
+// evaluation is sequential, because each migration decision reads the
+// timelines the previous commit left.
 // The original full-rebuild engine remains available as a correctness
 // oracle via sched.WithFullRebuild(true) or the "bsa-full" registry name
-// — every engine configuration produces byte-identical schedules for
-// identical seeds, enforced by property tests. See README.md's
+// — both engines, on either backend, produce byte-identical schedules
+// for identical seeds, enforced by property tests and the FuzzBSA
+// differential fuzz target. See README.md's
 // "Performance" section for measured numbers; BENCH_core.json at the
 // repo root is the committed benchmark trajectory point that CI's
 // make bench-gate compares against.

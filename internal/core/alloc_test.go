@@ -30,30 +30,29 @@ func paperInstance(t testing.TB, n int) (*graph.Graph, *system.System) {
 	return g, sys
 }
 
-// TestEvalMigrationAllocFree pins the migration-evaluation hot path at
-// zero allocations per call: the pooled evaluation scratch and the
-// timeline fit search must not touch the heap at paper sizes.
+// TestEvalMigrationAllocFree pins the migration-evaluation hot path
+// (evalRow) at zero allocations per call: the reused evaluation scratch
+// and the timeline fit search must not touch the heap at paper sizes.
 func TestEvalMigrationAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	g, sys := paperInstance(t, 500)
 	en, bfs, _ := fixpointEngine(t, g, sys)
-	sc := en.scratch[0]
+	row := make([]float64, sys.Net.NumProcs())
 	// Evaluate every task on every neighbour of its processor once to warm
 	// the scratch, then assert steady state.
 	eval := func() {
 		for _, p := range bfs {
+			nbrs := sys.Net.Neighbors(p)
 			for _, tk := range en.tasksOn(p) {
-				for _, a := range sys.Net.Neighbors(p) {
-					en.evalMigration(tk, a.Proc, sc)
-				}
+				en.evalRow(tk, nbrs, row, nil)
 			}
 		}
 	}
 	eval()
 	if allocs := testing.AllocsPerRun(10, eval); allocs != 0 {
-		t.Fatalf("evalMigration allocates: %v allocs per full candidate pass", allocs)
+		t.Fatalf("evalRow allocates: %v allocs per full candidate pass", allocs)
 	}
 }
 
@@ -70,7 +69,7 @@ func TestCachedSweepAllocFree(t *testing.T) {
 	ctx := context.Background()
 	res := &Result{}
 	sweep := func() {
-		if err := sweepOnce(ctx, en, sys, bfs, opt, res); err != nil {
+		if err := sweepOnce(ctx, en, bfs, nil, opt, res); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,13 +16,12 @@
 //
 // Every backend must produce byte-identical schedules to the full-rebuild
 // oracle; the conformance suite (backend_conformance_test.go) asserts this
-// for every registered backend, cold and warm-started.
+// for both backends, cold and warm-started.
 
 package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/schedule"
 	"repro/sched/graph"
@@ -51,41 +50,13 @@ type backend interface {
 	finalize()
 }
 
-// backendFactory builds a backend bound to an engine whose shared arrays
-// (pos, msgPos, inIndex, queue flags) are already allocated.
-type backendFactory func(en *engine) backend
-
-var backendRegistry = map[string]backendFactory{}
-
-// registerBackend registers a backend under name; the conformance suite
-// runs every registered backend against the oracle.
-func registerBackend(name string, f backendFactory) {
-	if _, dup := backendRegistry[name]; dup {
-		panic(fmt.Sprintf("core: duplicate backend %q", name))
-	}
-	backendRegistry[name] = f
-}
-
-// backendNames returns the registered backend names, sorted for
-// deterministic test iteration.
-func backendNames() []string {
-	names := make([]string, 0, len(backendRegistry))
-	for n := range backendRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Backend names. The reference backend operates directly on the
 // Schedule's insertion-sorted Timelines; the SoA backend keeps slot state
 // in structure-of-arrays form with rank-keyed visibility (see
-// backend_soa.go). The full-rebuild oracle always uses the reference
-// backend; defaultBackend picks per topology when Options.Backend is
-// empty.
+// backend_soa.go).
 const (
-	BackendReference = "reference"
-	BackendSoA       = "soa"
+	backendReference = "reference"
+	backendSoA       = "soa"
 )
 
 // soaDensityThreshold is the link-density cutoff above which the SoA
@@ -93,45 +64,50 @@ const (
 // link timeline: SoA never strips, so its visibility-filtered fit scans
 // walk over invisible slots, which is cheap when each link carries a
 // handful of hops (dense networks route in one hop across many links —
-// measured ~25% faster than reference on full=16/full=32 at n=500) and
-// dominates runtime when few links carry every multi-hop route (measured
-// ~30% slower on ring=16, where 16 links hold ~5k hops). Density — links
-// as a fraction of the complete graph's — is a static, cost-free proxy
-// for that ratio: 1.0 for fully connected, 0.27 for hypercube-16, 0.13
-// for ring-16.
+// measured 22% faster than reference on full=16 at n=500) and dominates
+// runtime when few links carry every multi-hop route (measured 13% slower
+// on ring/hypercube/mesh-16 at n=500, 27% on ring-16, where 16 links hold
+// ~5k hops). Density — links as a fraction of the complete graph's — is a
+// static, cost-free proxy for that ratio: 1.0 for fully connected, 0.27
+// for hypercube-16, 0.13 for ring-16.
 const soaDensityThreshold = 0.75
 
-// defaultBackend picks the backend for a network when the caller did not
-// force one: SoA on dense (short-route, many-link) networks, reference
-// elsewhere. Options.Backend overrides; conformance keeps both
-// byte-identical, so the choice is purely a speed trade.
+// defaultBackend picks the backend for a network: SoA on dense
+// (short-route, many-link) networks, reference elsewhere. Conformance
+// keeps both byte-identical, so the choice is purely a speed trade.
 func defaultBackend(net *system.Network) string {
 	p := net.NumProcs()
 	if p < 2 {
-		return BackendReference
+		return backendReference
 	}
 	density := 2 * float64(net.NumLinks()) / (float64(p) * float64(p-1))
 	if density >= soaDensityThreshold {
-		return BackendSoA
+		return backendSoA
 	}
-	return BackendReference
+	return backendReference
 }
 
-// resolveBackend maps an Options.Backend value to a registered factory.
-func resolveBackend(name string, fullRebuild bool, net *system.Network) (string, error) {
-	if fullRebuild {
-		// The oracle rebuilds whole timelines each commit; it exists to be
-		// the trivially-correct comparison point, so it stays on the
-		// reference layout regardless of the requested backend.
-		return BackendReference, nil
+// newBackend builds the engine's backend. The full-rebuild oracle
+// rebuilds whole timelines each commit; it exists to be the
+// trivially-correct comparison point, so it always runs on the reference
+// layout. Otherwise en.cfg.backend forces a backend (the conformance
+// tests set it through Options.backend) and empty applies the density
+// rule.
+func newBackend(en *engine) backend {
+	name := en.cfg.backend
+	switch {
+	case en.cfg.fullRebuild:
+		name = backendReference
+	case name == "":
+		name = defaultBackend(en.sys.Net)
 	}
-	if name == "" {
-		return defaultBackend(net), nil
+	switch name {
+	case backendReference:
+		return &refBackend{en: en}
+	case backendSoA:
+		return newSoaBackend(en)
 	}
-	if _, ok := backendRegistry[name]; !ok {
-		return "", fmt.Errorf("unknown backend %q (have %v)", name, backendNames())
-	}
-	return name, nil
+	panic(fmt.Sprintf("core: unknown backend %q", name))
 }
 
 // Processing-order keys. The cone update consumes work in serial-rank

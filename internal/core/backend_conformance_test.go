@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -12,35 +13,60 @@ import (
 	"repro/sched/system"
 )
 
-// The backend conformance suite: every registered schedule-state backend
-// must produce byte-identical schedules AND byte-identical migration
-// traces to the full-rebuild oracle, from both entry points (cold
-// Schedule and warm Reschedule), under every worker count and cache
-// setting, and must unwind cleanly when canceled mid-cone-update.
+// The backend conformance suite: both schedule-state backends, forced
+// through Options.backend whatever the density rule would pick, must
+// produce byte-identical schedules AND byte-identical migration traces to
+// the full-rebuild oracle on every topology, from both entry points (cold
+// Schedule and warm Reschedule), and must unwind cleanly when canceled
+// mid-cone-update.
+
+// conformanceBackends are the backends every conformance test forces.
+var conformanceBackends = []string{backendReference, backendSoA}
+
+// namedSystem is one target system of the conformance suite.
+type namedSystem struct {
+	name string
+	sys  *system.System
+}
+
+// conformanceSystems returns the systems the suite runs g on: a random
+// connected topology of m processors and the paper's four topology
+// families (ring, hypercube, fully connected, random), each with random
+// heterogeneity, in a fixed order so rng consumption is deterministic.
+func conformanceSystems(t *testing.T, rng *rand.Rand, g *graph.Graph, m int) []namedSystem {
+	t.Helper()
+	out := []namedSystem{{"random-m", randomSystem(t, rng, g, m)}}
+	topos := cacheTopologies(rng)
+	names := make([]string, 0, len(topos))
+	for name := range topos {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		sys, err := system.NewRandom(topos[name], g.NumTasks(), g.NumEdges(), 1, 10, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedSystem{name, sys})
+	}
+	return out
+}
 
 // TestBackendConformanceMatrix runs the oracle-equivalence matrix against
-// every registered backend: same schedule, same trajectory, same
-// commit-attempt trace, for sequential and parallel evaluation with the
-// candidate cache on and off.
+// both backends on every conformance topology: same schedule, same
+// trajectory, same commit-attempt trace.
 func TestBackendConformanceMatrix(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedDAG(rng, 20+int(seed)*8, 0.12)
-		sys := randomSystem(t, rng, g, 3+int(seed))
-		oracle, err := Schedule(g, sys, Options{Seed: seed, UseFullRebuild: true, Workers: 1, RecordTrace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, be := range backendNames() {
-			for _, opt := range []Options{
-				{Seed: seed, Backend: be, Workers: 1, RecordTrace: true},
-				{Seed: seed, Backend: be, Workers: 4, RecordTrace: true},
-				{Seed: seed, Backend: be, Workers: 1, DisableCandidateCache: true, RecordTrace: true},
-				{Seed: seed, Backend: be, Workers: 4, DisableCandidateCache: true, RecordTrace: true},
-			} {
-				label := fmt.Sprintf("seed=%d backend=%s workers=%d cache=%v",
-					seed, be, opt.Workers, !opt.DisableCandidateCache)
-				r, err := Schedule(g, sys, opt)
+		for _, ns := range conformanceSystems(t, rng, g, 3+int(seed)) {
+			oracle, err := Schedule(g, ns.sys, Options{Seed: seed, UseFullRebuild: true, RecordTrace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, be := range conformanceBackends {
+				label := fmt.Sprintf("seed=%d topo=%s backend=%s", seed, ns.name, be)
+				r, err := Schedule(g, ns.sys, Options{Seed: seed, backend: be, RecordTrace: true})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -70,31 +96,30 @@ func warmFromCold(cold *Result, dirty []graph.TaskID) WarmStart {
 	return warm
 }
 
-// TestBackendConformanceWarmStart checks the warm-start entry point: every
-// backend reconverging from the same adopted ground truth and dirty
-// frontier must produce byte-identical schedules and traces, sequentially
-// and in parallel.
+// TestBackendConformanceWarmStart checks the warm-start entry point: both
+// backends reconverging from the same adopted ground truth and dirty
+// frontier must produce byte-identical schedules and traces on every
+// conformance topology.
 func TestBackendConformanceWarmStart(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		g := randomConnectedDAG(rng, 40, 0.12)
-		sys := randomSystem(t, rng, g, 5)
-		cold, err := Schedule(g, sys, Options{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Dirty a deterministic spread of tasks so reconvergence has real
-		// work at several ranks.
-		var dirty []graph.TaskID
-		for i := 0; i < g.NumTasks(); i += 3 {
-			dirty = append(dirty, graph.TaskID(i))
-		}
-		warm := warmFromCold(cold, dirty)
-		var base *Result
-		for _, be := range backendNames() {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("seed=%d backend=%s workers=%d", seed, be, workers)
-				r, err := Reschedule(g, sys, warm, Options{Backend: be, Workers: workers, RecordTrace: true})
+		for _, ns := range conformanceSystems(t, rng, g, 5) {
+			cold, err := Schedule(g, ns.sys, Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Dirty a deterministic spread of tasks so reconvergence has
+			// real work at several ranks.
+			var dirty []graph.TaskID
+			for i := 0; i < g.NumTasks(); i += 3 {
+				dirty = append(dirty, graph.TaskID(i))
+			}
+			warm := warmFromCold(cold, dirty)
+			var base *Result
+			for _, be := range conformanceBackends {
+				label := fmt.Sprintf("seed=%d topo=%s backend=%s", seed, ns.name, be)
+				r, err := Reschedule(g, ns.sys, warm, Options{backend: be, RecordTrace: true})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -135,34 +160,25 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestBackendCancelMidUpdate sweeps the cancellation point across the run
-// for every backend: each countdown either cancels the run — which must
-// surface context.Canceled without panicking, even when the cut lands
-// between two timeline mutations of one cone update — or never fires, in
-// which case the result must be byte-identical to the uncanceled run.
+// for both backends on every conformance topology: each countdown either
+// cancels the run — which must surface context.Canceled without
+// panicking, even when the cut lands between two timeline mutations of
+// one cone update — or never fires, in which case the result must be
+// byte-identical to the uncanceled run.
 func TestBackendCancelMidUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomConnectedDAG(rng, 120, 0.1)
-	sys := randomSystem(t, rng, g, 6)
-	for _, be := range backendNames() {
-		opt := Options{Seed: 9, Backend: be, Workers: 1}
-		baseline, err := Schedule(g, sys, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, limit := range []int{1, 2, 3, 5, 10, 50, 1 << 30} {
-			ctx := &countdownCtx{Context: context.Background(), limit: limit}
-			r, err := ScheduleContext(ctx, g, sys, opt)
-			label := fmt.Sprintf("backend=%s limit=%d", be, limit)
-			switch {
-			case err != nil:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("%s: got error %v, want context.Canceled", label, err)
-				}
-				if r != nil {
-					t.Fatalf("%s: canceled run returned a result", label)
-				}
-			default:
-				assertSchedulesIdentical(t, label, baseline, r)
+	for _, ns := range conformanceSystems(t, rng, g, 6) {
+		for _, be := range conformanceBackends {
+			opt := Options{Seed: 9, backend: be}
+			baseline, err := Schedule(g, ns.sys, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, limit := range []int{1, 2, 3, 5, 10, 50, 1 << 30} {
+				ctx := &countdownCtx{Context: context.Background(), limit: limit}
+				r, err := ScheduleContext(ctx, g, ns.sys, opt)
+				assertCanceledOrIdentical(t, fmt.Sprintf("topo=%s backend=%s limit=%d", ns.name, be, limit), baseline, r, err)
 			}
 		}
 	}
@@ -173,38 +189,46 @@ func TestBackendCancelMidUpdate(t *testing.T) {
 func TestBackendCancelMidUpdateWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	g := randomConnectedDAG(rng, 100, 0.1)
-	sys := randomSystem(t, rng, g, 5)
-	cold, err := Schedule(g, sys, Options{Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dirty []graph.TaskID
-	for i := 0; i < g.NumTasks(); i += 2 {
-		dirty = append(dirty, graph.TaskID(i))
-	}
-	warm := warmFromCold(cold, dirty)
-	for _, be := range backendNames() {
-		opt := Options{Backend: be, Workers: 1}
-		baseline, err := Reschedule(g, sys, warm, opt)
+	for _, ns := range conformanceSystems(t, rng, g, 5) {
+		cold, err := Schedule(g, ns.sys, Options{Seed: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, limit := range []int{1, 2, 3, 5, 10, 50, 1 << 30} {
-			ctx := &countdownCtx{Context: context.Background(), limit: limit}
-			r, err := RescheduleContext(ctx, g, sys, warm, opt)
-			label := fmt.Sprintf("backend=%s limit=%d", be, limit)
-			switch {
-			case err != nil:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("%s: got error %v, want context.Canceled", label, err)
-				}
-				if r != nil {
-					t.Fatalf("%s: canceled run returned a result", label)
-				}
-			default:
-				assertSchedulesIdentical(t, label, baseline, r)
+		var dirty []graph.TaskID
+		for i := 0; i < g.NumTasks(); i += 2 {
+			dirty = append(dirty, graph.TaskID(i))
+		}
+		warm := warmFromCold(cold, dirty)
+		for _, be := range conformanceBackends {
+			opt := Options{backend: be}
+			baseline, err := Reschedule(g, ns.sys, warm, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, limit := range []int{1, 2, 3, 5, 10, 50, 1 << 30} {
+				ctx := &countdownCtx{Context: context.Background(), limit: limit}
+				r, err := RescheduleContext(ctx, g, ns.sys, warm, opt)
+				assertCanceledOrIdentical(t, fmt.Sprintf("topo=%s backend=%s limit=%d", ns.name, be, limit), baseline, r, err)
 			}
 		}
+	}
+}
+
+// assertCanceledOrIdentical fails unless a countdown run either canceled
+// cleanly (context.Canceled, no result) or completed byte-identical to
+// the uncanceled baseline.
+func assertCanceledOrIdentical(t *testing.T, label string, baseline, r *Result, err error) {
+	t.Helper()
+	switch {
+	case err != nil:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got error %v, want context.Canceled", label, err)
+		}
+		if r != nil {
+			t.Fatalf("%s: canceled run returned a result", label)
+		}
+	default:
+		assertSchedulesIdentical(t, label, baseline, r)
 	}
 }
 
@@ -257,13 +281,11 @@ func TestWarmFrontierArrivalShiftPropagates(t *testing.T) {
 	routes[eBR] = nil // intra-processor
 	routes[eDR] = []system.LinkID{l31}
 
-	for _, be := range backendNames() {
+	for _, be := range conformanceBackends {
 		en := newWarmEngine(g, sys, serial, assign, routes, engineConfig{
-			pruneRoutes:    true,
-			guardSlack:     DefaultGuardSlack,
-			backend:        be,
-			workers:        1,
-			candidateCache: true,
+			pruneRoutes: true,
+			guardSlack:  DefaultGuardSlack,
+			backend:     be,
 		})
 		oldR := en.s.Tasks[tR]
 		oldArr := en.s.Msgs[eBR].Arrival

@@ -8,12 +8,6 @@ import (
 	"repro/sched/system"
 )
 
-func init() {
-	registerBackend(BackendReference, func(en *engine) backend {
-		return &refBackend{en: en}
-	})
-}
-
 // refBackend is the reference schedule-state backend: slot state lives
 // directly in the Schedule's insertion-sorted Timelines, placements mutate
 // them through PlaceMessage/PlaceTaskEarliest, and the cone update strips
@@ -204,7 +198,7 @@ func (b *refBackend) processMsg(e graph.EdgeID, rank int) (requeue bool) {
 		en.drtTouched[edge.To] = en.epoch
 		en.queueTask(edge.To)
 	}
-	if en.cache != nil && (hopsChanged || arr != oldArr) {
+	if hopsChanged || arr != oldArr {
 		// Each message is re-placed at most once per update (msgDone), so
 		// the change list needs no dedup.
 		en.cache.updMsgs = append(en.cache.updMsgs, e)
@@ -250,11 +244,9 @@ func (b *refBackend) processTask(u graph.TaskID, rank int) {
 		if st.End > en.updEndMax {
 			en.updEndMax, en.updEndArg = st.End, u
 		}
-		if en.cache != nil {
-			// taskChanged is set in exactly this one place, at most once
-			// per task per update, so the list needs no dedup.
-			en.cache.updTasks = append(en.cache.updTasks, u)
-		}
+		// taskChanged is set in exactly this one place, at most once per
+		// task per update, so the list needs no dedup.
+		en.cache.updTasks = append(en.cache.updTasks, u)
 		for _, e := range en.g.Out(u) {
 			en.queueMsg(e)
 		}

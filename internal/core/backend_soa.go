@@ -57,12 +57,6 @@ import (
 	"repro/sched/system"
 )
 
-func init() {
-	registerBackend(BackendSoA, func(en *engine) backend {
-		return newSoaBackend(en)
-	})
-}
-
 // allVisible is the visibility bound for fit queries between updates
 // (candidate evaluation): every physical slot is current, so all keys
 // pass.
@@ -778,10 +772,8 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 			}
 		}
 		sm.Hops = append(sm.Hops[:0], hops...)
-		if en.cache != nil {
-			en.cache.updMsgs = append(en.cache.updMsgs, e)
-		}
-	} else if arr != oldArr && en.cache != nil {
+		en.cache.updMsgs = append(en.cache.updMsgs, e)
+	} else if arr != oldArr {
 		// Arrival moved with identical hops: an intra-processor message
 		// tracking its sender's slot.
 		en.cache.updMsgs = append(en.cache.updMsgs, e)
@@ -861,9 +853,7 @@ func (b *soaBackend) processTask(u graph.TaskID) {
 		if nw.End > en.updEndMax {
 			en.updEndMax, en.updEndArg = nw.End, u
 		}
-		if en.cache != nil {
-			en.cache.updTasks = append(en.cache.updTasks, u)
-		}
+		en.cache.updTasks = append(en.cache.updTasks, u)
 		for _, e := range en.g.Out(u) {
 			// An intra-processor out-message has no hops to fit and no
 			// slots to evict — its full processing reduces to copying the
@@ -897,9 +887,7 @@ func (b *soaBackend) settleEmptyMsg(e graph.EdgeID, arr float64) {
 		to := en.g.Edge(e).To
 		en.drtTouched[to] = en.epoch
 		en.queueTask(to)
-		if en.cache != nil {
-			en.cache.updMsgs = append(en.cache.updMsgs, e)
-		}
+		en.cache.updMsgs = append(en.cache.updMsgs, e)
 	}
 }
 

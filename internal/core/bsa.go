@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/schedule"
 	"repro/sched/graph"
@@ -29,9 +28,11 @@ type Options struct {
 
 	// DisableMigrationGuard turns off the global bubble-up check: by
 	// default a committed migration whose rebuilt schedule is more than
-	// GuardSlack longer than before is rolled back, since the paper's
-	// local finish-time evaluation cannot see downstream effects on
-	// successors (see DESIGN.md §3). Ablation knob.
+	// GuardSlack longer than before is rolled back. The paper's local
+	// finish-time evaluation sees only the migrating task: a move that
+	// finishes it earlier can still delay its successors, or the tasks
+	// whose messages now share its new links, by more than it gains.
+	// Ablation knob.
 	DisableMigrationGuard bool
 
 	// GuardSlack is the relative schedule-length regression tolerated by
@@ -46,11 +47,12 @@ type Options struct {
 	// MaxSweeps bounds how many breadth-first pivot sweeps run. The
 	// paper's pseudocode describes a single sweep, but one sweep drains the
 	// first pivot only once — it equilibrates with its direct neighbours
-	// and stays overloaded, which contradicts the paper's measured results
-	// (see DESIGN.md §3). We therefore iterate the sweep until no task
-	// migrates, bounded by MaxSweeps. Zero means "until fixpoint"
-	// (bounded by 4m as a safety net); 1 reproduces the literal
-	// single-sweep pseudocode (ablation knob).
+	// and stays overloaded, so tasks never reach processors more than a
+	// few hops from the pivot, which contradicts the paper's measured
+	// results. We therefore iterate the sweep until no task migrates,
+	// bounded by MaxSweeps. Zero means "until fixpoint" (bounded by 4m as
+	// a safety net); 1 reproduces the literal single-sweep pseudocode
+	// (ablation knob).
 	MaxSweeps int
 
 	// UseFullRebuild selects the original full-rebuild engine as a
@@ -60,55 +62,39 @@ type Options struct {
 	// incremental engine re-derives only the dependency cone a migration
 	// can affect, rolls back by restoring arena-saved ground truth, and
 	// re-evaluates only the candidate rows a commit dirtied (see
-	// DisableCandidateCache). Both engines produce byte-identical
-	// schedules for identical seeds; the oracle exists for equivalence
-	// tests and benchmarks.
+	// candCache). Both engines produce byte-identical schedules and
+	// migration traces for identical seeds; the oracle exists for
+	// equivalence tests and benchmarks.
 	UseFullRebuild bool
-
-	// DisableCandidateCache turns off the sweep-level candidate cache. By
-	// default the incremental engine memoizes each task's candidate
-	// evaluation (the finish times on its pivot's neighbours, reduced to
-	// the migration decision's aggregates) and, after each kept commit,
-	// invalidates only the rows whose task, predecessors, incoming
-	// messages, candidate processors or connecting links the commit's
-	// dependency cone touched — sweeps over equilibrated regions then cost
-	// integer stamp compares instead of timeline walks. The cached and
-	// uncached engines produce byte-identical schedules and identical
-	// migration traces; only Result.Evaluations differs. Ablation knob;
-	// ignored by the full-rebuild oracle, which never caches.
-	DisableCandidateCache bool
 
 	// RecordTrace makes Result.MigrationTrace record every commit attempt
 	// in decision order (test and debugging aid; off by default because
 	// the trace grows with the migration count).
 	RecordTrace bool
 
-	// Workers bounds the goroutines used to evaluate candidate processors
-	// during a sweep. 0 means GOMAXPROCS; 1 forces fully sequential
-	// evaluation. Candidate evaluations are pure functions of the current
-	// engine state and are merged deterministically (lowest finish time,
-	// ties to the earliest neighbour in BFS adjacency order), so the
-	// resulting schedule is identical for every Workers value; only
-	// Result.Evaluations varies, because the parallel path speculatively
-	// batch-evaluates every candidate of a pivot and re-evaluates the rows
-	// invalidated by a committed migration. With the candidate cache on
-	// (the default) the pool instead prefetches the pivot's stale cached
-	// rows in parallel before the decision loop (see prefetchRows); rows
-	// a commit dirties mid-loop are still brought current one decision at
-	// a time.
-	Workers int
+	// backend forces the incremental engine's schedule-state backend
+	// ("reference" or "soa"); empty picks one by link density (see
+	// defaultBackend). Both produce byte-identical schedules, so the
+	// choice is the engine's alone; the conformance tests set this to run
+	// each backend on every topology.
+	backend string
+}
 
-	// Backend selects the engine's schedule-state backend by name (see
-	// backend.go): "soa" keeps slot state in structure-of-arrays form
-	// with rank-keyed visibility so cone updates mutate only genuinely
-	// changed placements; "reference" is the original lazily-stripped
-	// Timeline implementation. Empty picks per topology (SoA on dense
-	// networks where its no-strip sweeps win, reference elsewhere — see
-	// defaultBackend). Every registered backend produces byte-identical
-	// schedules (enforced by the backend conformance suite); the
-	// full-rebuild oracle always runs on the reference backend regardless
-	// of this setting.
-	Backend string
+// engineConfig resolves the engine configuration opt selects.
+func (opt Options) engineConfig() engineConfig {
+	slack := opt.GuardSlack
+	switch {
+	case slack == 0:
+		slack = DefaultGuardSlack
+	case slack < 0:
+		slack = 0
+	}
+	return engineConfig{
+		pruneRoutes: !opt.DisableRoutePruning,
+		guardSlack:  slack,
+		backend:     opt.backend,
+		fullRebuild: opt.UseFullRebuild,
+	}
 }
 
 // Result is the outcome of a BSA run.
@@ -148,7 +134,8 @@ type Result struct {
 	// CacheHits counts candidate rows served from the sweep-level cache
 	// with zero re-evaluation, CachePartials rows refreshed by
 	// re-evaluating only the entries a commit stamped, and CacheMisses
-	// rows evaluated in full; all stay zero when the cache is off.
+	// rows evaluated in full; all stay zero on the full-rebuild oracle,
+	// which has no cache.
 	CacheHits     int
 	CachePartials int
 	CacheMisses   int
@@ -185,9 +172,6 @@ func ScheduleContext(ctx context.Context, g *graph.Graph, sys *system.System, op
 	if err := sys.Validate(g.NumTasks(), g.NumEdges()); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if _, err := resolveBackend(opt.Backend, opt.UseFullRebuild, sys.Net); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -210,73 +194,13 @@ func ScheduleContext(ctx context.Context, g *graph.Graph, sys *system.System, op
 	res.Serial = serial
 	res.Partition = part
 
-	slack := opt.GuardSlack
-	switch {
-	case slack == 0:
-		slack = DefaultGuardSlack
-	case slack < 0:
-		slack = 0
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	en := newEngine(g, sys, serial, pivot0, engineConfig{
-		pruneRoutes:    !opt.DisableRoutePruning,
-		guardSlack:     slack,
-		backend:        opt.Backend,
-		fullRebuild:    opt.UseFullRebuild,
-		workers:        workers,
-		candidateCache: !opt.DisableCandidateCache,
-	})
+	en := newEngine(g, sys, serial, pivot0, opt.engineConfig())
 	en.setContext(ctx)
 
 	// Stage 3: breadth-first bubble migration, iterated to a fixpoint.
-	maxSweeps := opt.MaxSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = 4 * sys.Net.NumProcs()
+	if err := converge(ctx, en, pivot0, nil, opt, res); err != nil {
+		return nil, err
 	}
-	bfs := sys.Net.BFSOrder(pivot0)
-	stale := 0
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		migrationsBefore := res.Migrations
-		bestBefore := en.bestLen
-		res.Sweeps++
-		if err := sweepOnce(ctx, en, sys, bfs, opt, res); err != nil {
-			return nil, fmt.Errorf("core: after %d sweeps, %d migrations: %w",
-				res.Sweeps, res.Migrations, err)
-		}
-		if res.Migrations == migrationsBefore {
-			break // fixpoint: nothing moved
-		}
-		// VIP-following can shuffle tasks indefinitely; stop once two
-		// consecutive sweeps fail to improve the best schedule seen.
-		if en.bestLen >= bestBefore-cmpEps {
-			stale++
-			if stale >= 2 {
-				break
-			}
-		} else {
-			stale = 0
-		}
-	}
-
-	// Elitism: migrations may have regressed within the guard slack; end on
-	// the best state visited.
-	if en.restoreBest() {
-		res.RestoredBest = true
-	}
-
-	res.Evaluations = en.evaluations
-	res.Rebuilds = en.rebuilds
-	res.Placements = en.placements
-	res.MsgPlacements = en.msgPlaces
-	if en.cache != nil {
-		res.CacheHits = en.cache.hits
-		res.CachePartials = en.cache.partial
-		res.CacheMisses = en.cache.misses
-	}
-	res.Schedule = en.finalSchedule()
 	return res, nil
 }
 
@@ -292,110 +216,140 @@ const DefaultGuardSlack = 0.05
 // either way).
 const vipSlack = 0.0
 
+// converge runs breadth-first migration sweeps from root until no task
+// migrates, two consecutive sweeps fail to improve the best schedule seen
+// (VIP-following can shuffle tasks indefinitely) or opt.MaxSweeps is
+// reached. It then ends on the best state visited and fills res from the
+// engine. A non-nil ds restricts the sweeps to that dirty frontier and
+// stops them once it drains.
+func converge(ctx context.Context, en *engine, root system.ProcID, ds *dirtySet, opt Options, res *Result) error {
+	maxSweeps := opt.MaxSweeps
+	if maxSweeps <= 0 {
+		maxSweeps = 4 * en.sys.Net.NumProcs()
+	}
+	bfs := en.sys.Net.BFSOrder(root)
+	stale := 0
+	for sweep := 0; sweep < maxSweeps && (ds == nil || ds.n > 0); sweep++ {
+		migrationsBefore := res.Migrations
+		bestBefore := en.bestLen
+		res.Sweeps++
+		if err := sweepOnce(ctx, en, bfs, ds, opt, res); err != nil {
+			return fmt.Errorf("core: after %d sweeps, %d migrations: %w",
+				res.Sweeps, res.Migrations, err)
+		}
+		if res.Migrations == migrationsBefore {
+			break // fixpoint: nothing moved
+		}
+		if en.bestLen >= bestBefore-cmpEps {
+			stale++
+			if stale >= 2 {
+				break
+			}
+		} else {
+			stale = 0
+		}
+	}
+
+	// Elitism: migrations may have regressed within the guard slack; end on
+	// the best state visited.
+	res.RestoredBest = en.restoreBest()
+
+	res.Evaluations = en.evaluations
+	res.Rebuilds = en.rebuilds
+	res.Placements = en.placements
+	res.MsgPlacements = en.msgPlaces
+	if en.cache != nil {
+		res.CacheHits = en.cache.hits
+		res.CachePartials = en.cache.partial
+		res.CacheMisses = en.cache.misses
+	}
+	res.Schedule = en.finalSchedule()
+	return nil
+}
+
 // sweepOnce performs one breadth-first pivot pass: every processor in bfs
 // order becomes the pivot, and each task residing on it is considered for
-// migration to a neighbour.
-//
-// With the candidate cache on (the default), each task's cached candidate
-// row is brought current before the decision: reused outright when no
-// stamped dependency intersects it, patched entry-by-entry when only
-// candidate timelines changed, and fully re-evaluated when the task's own
-// inputs changed — a commit therefore re-evaluates only its dependency
-// cone's rows and entries. With the cache off, candidate finish times for
-// the whole pivot are speculatively batch-evaluated on the worker pool and
-// a committed migration invalidates the remaining rows wholesale (the
-// engine version check). Either way every decision sees exactly the values
-// a fresh sequential evaluation would produce, so the schedule is
-// identical for any worker count and cache setting. ctx is polled once per
-// pivot; on cancellation the sweep stops and ctx.Err() is returned.
-func sweepOnce(ctx context.Context, en *engine, sys *system.System, bfs []system.ProcID, opt Options, res *Result) error {
+// migration to a neighbour (see step). A non-nil ds restricts the pass to
+// the dirty frontier: only dirty tasks are considered, each leaves the
+// frontier once examined, and every kept commit re-adds its dependency
+// cone. A frontier covering all tasks therefore decides exactly like the
+// unrestricted pass. ctx is polled once per pivot; on cancellation the
+// sweep stops and ctx.Err() is returned.
+func sweepOnce(ctx context.Context, en *engine, bfs []system.ProcID, ds *dirtySet, opt Options, res *Result) error {
 	for _, pivot := range bfs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		neighbors := sys.Net.Neighbors(pivot)
+		neighbors := en.sys.Net.Neighbors(pivot)
 		if len(neighbors) == 0 {
 			continue
 		}
-		tasks := en.tasksOn(pivot)
-		if len(tasks) == 0 {
-			continue
-		}
-		var batch [][]float64
-		var batchVersion uint64
-		if en.cache == nil {
-			if cap(en.rowBuf) < len(neighbors) {
-				en.rowBuf = make([]float64, len(neighbors))
+		for _, t := range en.tasksOn(pivot) {
+			if ds != nil {
+				if !ds.flag[t] {
+					continue
+				}
+				ds.clear(t)
 			}
-			batch = en.batchEval(tasks, neighbors)
-			batchVersion = en.version
-		} else {
-			en.prefetchRows(tasks, pivot, neighbors)
-		}
-		for ti, t := range tasks {
-			var bestFT, vipFT float64
-			var bestY, vipY system.ProcID
-			if en.cache != nil {
-				en.ensureRow(t, pivot, neighbors)
-				bestFT, bestY = en.cache.bestFT[t], en.cache.bestY[t]
-				vipFT, vipY = en.cache.vipFT[t], en.cache.vipY[t]
-			} else {
-				row := en.rowBuf[:len(neighbors)]
-				if batch != nil {
-					row = batch[ti]
-				}
-				if batch == nil || en.version != batchVersion {
-					en.evalRow(t, neighbors, row)
-				}
-				bestFT, bestY, vipFT, vipY = en.reduceRow(t, neighbors, row)
+			if en.step(t, pivot, neighbors, opt, res) && ds != nil {
+				ds.expand(en)
 			}
-			curFT := en.s.Tasks[t].End
-			guard := !opt.DisableMigrationGuard
-			switch {
-			case bestY >= 0 && bestFT < curFT-cmpEps:
-				// Strict improvement: bubble up.
-				kept := en.commitMigration(t, bestY, guard)
-				recordStep(opt, res, t, pivot, bestY, kept)
-				if kept {
-					res.Migrations++
-				} else {
-					res.Reverted++
-				}
-				if en.cancelErr != nil {
-					// The bounded-interval poll inside the cone update saw
-					// a canceled context; the slot state is torn, so abort
-					// without another decision.
-					return en.cancelErr
-				}
-			case !opt.DisableVIPFollow && vipY >= 0 && vipFT <= curFT*(1+vipSlack)+cmpEps:
-				// No neighbour strictly improves the finish time, but the
-				// VIP lives on one: follow it ("if the finish time does
-				// not improve, a task will also migrate if its VIP is
-				// scheduled to that neighbor"). Colocating with the VIP
-				// removes the message's link crossing, relieving the
-				// saturated links around the pivot and letting this task's
-				// successors improve later; the migration guard still
-				// reverts moves that regress the overall schedule.
-				kept := en.commitMigration(t, vipY, guard)
-				recordStep(opt, res, t, pivot, vipY, kept)
-				if kept {
-					res.Migrations++
-				} else {
-					res.Reverted++
-				}
-				if en.cancelErr != nil {
-					return en.cancelErr
-				}
+			if en.cancelErr != nil {
+				// The bounded-interval poll inside the cone update saw
+				// a canceled context; the slot state is torn, so abort
+				// without another decision.
+				return en.cancelErr
 			}
 		}
 	}
 	return nil
 }
 
-// recordStep appends one commit attempt to the migration trace when
-// Options.RecordTrace asks for it.
-func recordStep(opt Options, res *Result, t graph.TaskID, from, to system.ProcID, kept bool) {
-	if opt.RecordTrace {
-		res.MigrationTrace = append(res.MigrationTrace, MigrationStep{Task: t, From: from, To: to, Kept: kept})
+// step takes the migration decision for task t on pivot. Its candidate
+// row — the finish time on each neighbour — comes from the candidate
+// cache, or is evaluated afresh on the full-rebuild oracle. Every decision
+// therefore sees exactly the values a fresh evaluation would produce. It
+// reports whether a migration was attempted and kept.
+func (en *engine) step(t graph.TaskID, pivot system.ProcID, neighbors []system.Adj, opt Options, res *Result) bool {
+	var bestFT, vipFT float64
+	var bestY, vipY system.ProcID
+	if c := en.cache; c != nil {
+		en.ensureRow(t, pivot, neighbors)
+		bestFT, bestY, vipFT, vipY = c.bestFT[t], c.bestY[t], c.vipFT[t], c.vipY[t]
+	} else {
+		if cap(en.rowBuf) < len(neighbors) {
+			en.rowBuf = make([]float64, len(neighbors))
+		}
+		row := en.rowBuf[:len(neighbors)]
+		en.evalRow(t, neighbors, row, nil)
+		bestFT, bestY, vipFT, vipY = en.reduceRow(t, neighbors, row)
 	}
+	curFT := en.s.Tasks[t].End
+	var y system.ProcID
+	switch {
+	case bestY >= 0 && bestFT < curFT-cmpEps:
+		// Strict improvement: bubble up.
+		y = bestY
+	case !opt.DisableVIPFollow && vipY >= 0 && vipFT <= curFT*(1+vipSlack)+cmpEps:
+		// No neighbour strictly improves the finish time, but the VIP
+		// lives on one: follow it ("if the finish time does not improve,
+		// a task will also migrate if its VIP is scheduled to that
+		// neighbor"). Colocating with the VIP removes the message's link
+		// crossing, relieving the saturated links around the pivot and
+		// letting this task's successors improve later; the migration
+		// guard still reverts moves that regress the overall schedule.
+		y = vipY
+	default:
+		return false
+	}
+	kept := en.commitMigration(t, y, !opt.DisableMigrationGuard)
+	if opt.RecordTrace {
+		res.MigrationTrace = append(res.MigrationTrace, MigrationStep{Task: t, From: pivot, To: y, Kept: kept})
+	}
+	if kept {
+		res.Migrations++
+	} else {
+		res.Reverted++
+	}
+	return kept
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/sched/graph"
 	"repro/sched/system"
@@ -39,8 +37,7 @@ import (
 // the cache, while per-entry invalidation re-evaluates one column.
 //
 // Reverted commits stamp nothing: a rollback restores byte-identical
-// state (the invariant the engine's versioned batch evaluation already
-// relies on), so rows cached before the attempt stay valid. The validity
+// state, so rows cached before the attempt stay valid. The validity
 // check is a handful of integer compares per row, so a sweep over an
 // equilibrated region costs O(tasks) compares instead of
 // O(tasks x neighbors) timeline walks — migration sweeps become O(dirty).
@@ -71,12 +68,6 @@ type candCache struct {
 	vipFT    []float64
 	vipY     []system.ProcID
 
-	// preVer[t] != 0 marks rowFT[t] as filled by prefetchRows at engine
-	// version preVer[t]-1: the contents are exactly what a serial full
-	// evaluation would produce as long as no migration has been kept
-	// since. A stale mark is simply ignored.
-	preVer []uint64
-
 	hits    int // rows served with zero evaluations
 	partial int // rows served after re-evaluating only stale entries
 	misses  int // rows evaluated in full
@@ -96,7 +87,6 @@ func newCandCache(numTasks, numEdges, numProcs, numLinks int) *candCache {
 		bestY:     make([]system.ProcID, numTasks),
 		vipFT:     make([]float64, numTasks),
 		vipY:      make([]system.ProcID, numTasks),
-		preVer:    make([]uint64, numTasks),
 	}
 }
 
@@ -146,66 +136,6 @@ func (en *engine) rowLevelStale(t graph.TaskID, pivot system.ProcID) bool {
 	return false
 }
 
-// prefetchRows speculatively evaluates, on the worker pool, the full rows
-// of every task on the pivot whose cached row is row-level stale. Row
-// values are pure functions of the current engine state, so the parallel
-// fill is byte-identical to the serial evaluation ensureRow would run;
-// each filled row is marked with the current engine version and ensureRow
-// consumes it in decision order (the deterministic merge). A migration
-// kept mid-loop bumps the version, orphaning the remaining speculative
-// rows — those fall back to serial evaluation, exactly like the cache-off
-// batch path.
-func (en *engine) prefetchRows(tasks []graph.TaskID, pivot system.ProcID, neighbors []system.Adj) {
-	c := en.cache
-	if c == nil || en.cfg.workers <= 1 {
-		return
-	}
-	nn := len(neighbors)
-	stale := en.staleRows[:0]
-	for _, t := range tasks {
-		if !en.rowLevelStale(t, pivot) {
-			continue
-		}
-		row := c.rowFT[t]
-		if cap(row) < nn {
-			row = make([]float64, nn)
-		}
-		c.rowFT[t] = row[:nn]
-		stale = append(stale, t)
-	}
-	en.staleRows = stale
-	jobs := len(stale) * nn
-	if jobs < minParallelEvals {
-		return
-	}
-	workers := en.cfg.workers
-	if workers > jobs {
-		workers = jobs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sc *evalScratch) {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= jobs {
-					return
-				}
-				t := stale[j/nn]
-				ft, _ := en.evalMigration(t, neighbors[j%nn].Proc, sc)
-				c.rowFT[t][j%nn] = ft
-			}
-		}(en.scratch[w])
-	}
-	wg.Wait()
-	en.evaluations += jobs
-	for _, t := range stale {
-		c.preVer[t] = en.version + 1
-	}
-}
-
 // ensureRow brings t's cached row current for the given pivot — reusing
 // it outright when nothing it reads was stamped, re-evaluating only the
 // entries whose candidate processor or connecting link was stamped, or
@@ -213,48 +143,33 @@ func (en *engine) prefetchRows(tasks []graph.TaskID, pivot system.ProcID, neighb
 // leaves the decision aggregates in bestFT/bestY/vipFT/vipY.
 func (en *engine) ensureRow(t graph.TaskID, pivot system.ProcID, neighbors []system.Adj) {
 	c := en.cache
+	var stale []bool // nil: every entry is stale
 	if en.rowLevelStale(t, pivot) {
-		row := c.rowFT[t]
-		if c.preVer[t] == en.version+1 {
-			// prefetchRows sized and filled the row at this exact state;
-			// the evaluations were counted at the fill.
-			row = row[:len(neighbors)]
-			c.preVer[t] = 0
-		} else {
-			if cap(row) < len(neighbors) {
-				row = make([]float64, len(neighbors))
-			}
-			row = row[:len(neighbors)]
-			c.rowFT[t] = row
-			en.evalRow(t, neighbors, row)
+		if cap(c.rowFT[t]) < len(neighbors) {
+			c.rowFT[t] = make([]float64, len(neighbors))
 		}
+		c.rowFT[t] = c.rowFT[t][:len(neighbors)]
 		c.misses++
-		en.reduceInto(t, pivot, neighbors, row)
-		return
-	}
-	rs := c.rowStamp[t]
-	row := c.rowFT[t]
-	sc := en.scratch[0]
-	stale := 0
-	for ni, a := range neighbors {
-		if c.procStamp[a.Proc] > rs || c.linkStamp[a.Link] > rs {
-			row[ni], _ = en.evalMigration(t, a.Proc, sc)
-			stale++
+	} else {
+		rs := c.rowStamp[t]
+		stale = en.staleBuf[:0]
+		n := 0
+		for _, a := range neighbors {
+			st := c.procStamp[a.Proc] > rs || c.linkStamp[a.Link] > rs
+			if st {
+				n++
+			}
+			stale = append(stale, st)
 		}
+		en.staleBuf = stale
+		if n == 0 {
+			c.hits++
+			return
+		}
+		c.partial++
 	}
-	if stale == 0 {
-		c.hits++
-		return
-	}
-	en.evaluations += stale
-	c.partial++
-	en.reduceInto(t, pivot, neighbors, row)
-}
-
-// reduceInto reduces a current row into the cached decision aggregates
-// and restamps the row.
-func (en *engine) reduceInto(t graph.TaskID, pivot system.ProcID, neighbors []system.Adj, row []float64) {
-	c := en.cache
+	row := c.rowFT[t]
+	en.evalRow(t, neighbors, row, stale)
 	c.bestFT[t], c.bestY[t], c.vipFT[t], c.vipY[t] = en.reduceRow(t, neighbors, row)
 	c.rowStamp[t] = c.commitC
 	c.rowProc[t] = pivot

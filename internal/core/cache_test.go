@@ -33,9 +33,10 @@ func cacheTopologies(rng *rand.Rand) map[string]*system.Network {
 // across regular and random graph families, all four topology families and
 // heterogeneity on/off, the cached engine must produce a byte-identical
 // serialized schedule AND an identical step-by-step migration trace to the
-// uncached engine. A single wrongly-kept cache row would divert the trace
-// at the first affected decision, so trace equality localizes invalidation
-// bugs far better than end-state checks.
+// full-rebuild oracle, which evaluates every row afresh. A single
+// wrongly-kept cache row would divert the trace at the first affected
+// decision, so trace equality localizes invalidation bugs far better than
+// end-state checks.
 func TestCandidateCacheEquivalence(t *testing.T) {
 	for _, kind := range []gen.Kind{gen.GaussElim, gen.Random} {
 		for seed := int64(0); seed < 3; seed++ {
@@ -56,16 +57,16 @@ func TestCandidateCacheEquivalence(t *testing.T) {
 					} else {
 						sys = system.NewUniform(nw, g.NumTasks(), g.NumEdges())
 					}
-					on, err := Schedule(g, sys, Options{Seed: seed, RecordTrace: true})
+					cached, err := Schedule(g, sys, Options{Seed: seed, RecordTrace: true})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					off, err := Schedule(g, sys, Options{Seed: seed, RecordTrace: true, DisableCandidateCache: true})
+					oracle, err := Schedule(g, sys, Options{Seed: seed, RecordTrace: true, UseFullRebuild: true})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					assertTracesIdentical(t, label, on, off)
-					assertSerializedIdentical(t, label, on, off)
+					assertTracesIdentical(t, label, cached, oracle)
+					assertSerializedIdentical(t, label, cached, oracle)
 				}
 			}
 		}
@@ -103,32 +104,30 @@ func assertSerializedIdentical(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestCandidateCacheCountsConsistent checks the cache's bookkeeping: every
-// pivot-visit decision is classified exactly once, and a cache-on run
-// reports the evaluations its misses and partial refreshes performed.
+// TestCandidateCacheCountsConsistent checks the cache's bookkeeping: a
+// cached run classifies its row visits and never evaluates more
+// candidates than the oracle, which follows the same trajectory and
+// evaluates every row of every visit in full.
 func TestCandidateCacheCountsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnectedDAG(rng, 60, 0.12)
 	sys := randomSystem(t, rng, g, 6)
-	// Workers pinned to 1: the parallel paths (batchEval, prefetchRows)
-	// evaluate speculatively, so Result.Evaluations is only comparable
-	// between runs when both are fully sequential.
-	on, err := Schedule(g, sys, Options{Seed: 7, Workers: 1})
+	cached, err := Schedule(g, sys, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.CacheMisses == 0 {
+	if cached.CacheMisses == 0 {
 		t.Fatal("a fresh run must miss at least once per task visited")
 	}
-	off, err := Schedule(g, sys, Options{Seed: 7, Workers: 1, DisableCandidateCache: true})
+	oracle, err := Schedule(g, sys, Options{Seed: 7, UseFullRebuild: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.CacheHits != 0 || off.CachePartials != 0 || off.CacheMisses != 0 {
-		t.Fatalf("cache-off run reported cache traffic: %+v", off)
+	if oracle.CacheHits != 0 || oracle.CachePartials != 0 || oracle.CacheMisses != 0 {
+		t.Fatalf("oracle run reported cache traffic: %+v", oracle)
 	}
-	if on.Evaluations > off.Evaluations {
-		t.Fatalf("cache increased evaluations: %d > %d", on.Evaluations, off.Evaluations)
+	if cached.Evaluations > oracle.Evaluations {
+		t.Fatalf("cache increased evaluations: %d > %d", cached.Evaluations, oracle.Evaluations)
 	}
 }
 
@@ -143,7 +142,7 @@ func TestCachedFixpointSweepServesAllRows(t *testing.T) {
 	en, bfs, opt := fixpointEngine(t, g, sys)
 	res := &Result{}
 	hits, evals := en.cache.hits, en.evaluations
-	if err := sweepOnce(context.Background(), en, sys, bfs, opt, res); err != nil {
+	if err := sweepOnce(context.Background(), en, bfs, nil, opt, res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Migrations != 0 {
@@ -253,21 +252,16 @@ func TestRouteNormalizerMatchesNormalizeRoute(t *testing.T) {
 // engine plus everything needed to replay sweeps by hand.
 func fixpointEngine(t testing.TB, g *graph.Graph, sys *system.System) (*engine, []system.ProcID, Options) {
 	t.Helper()
-	opt := Options{Workers: 1}
+	var opt Options
 	rng := rand.New(rand.NewSource(opt.Seed))
 	pivot0, _ := SelectPivot(g, sys)
 	exec := sys.ExecCostsOn(pivot0, g.NominalExecCosts())
 	serial, _ := SerializePartitioned(g, exec, nil, rng)
-	en := newEngine(g, sys, serial, pivot0, engineConfig{
-		pruneRoutes:    true,
-		guardSlack:     DefaultGuardSlack,
-		workers:        1,
-		candidateCache: true,
-	})
+	en := newEngine(g, sys, serial, pivot0, opt.engineConfig())
 	bfs := sys.Net.BFSOrder(pivot0)
 	for sweep := 0; sweep < 4*sys.Net.NumProcs(); sweep++ {
 		res := &Result{}
-		if err := sweepOnce(context.Background(), en, sys, bfs, opt, res); err != nil {
+		if err := sweepOnce(context.Background(), en, bfs, nil, opt, res); err != nil {
 			t.Fatal(err)
 		}
 		if res.Migrations == 0 {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/schedule"
 	"repro/sched/graph"
@@ -16,9 +14,8 @@ import (
 type engineConfig struct {
 	pruneRoutes bool
 	guardSlack  float64
-	// backend names the schedule-state backend (see backend.go). Empty
-	// resolves to the default: the reference backend for the full-rebuild
-	// oracle, the SoA backend for the incremental engine.
+	// backend forces a schedule-state backend by name (see newBackend);
+	// empty picks one by link density.
 	backend string
 	// fullRebuild selects the original oracle engine: every committed
 	// migration reconstructs the whole timeline from (serial, assign,
@@ -27,12 +24,6 @@ type engineConfig struct {
 	// (see updateFrom) and rolls back by restoring arena-saved ground
 	// truth; both produce byte-identical schedules.
 	fullRebuild bool
-	// workers bounds the goroutines used for candidate-processor
-	// evaluation (<=1 means sequential).
-	workers int
-	// candidateCache enables the sweep-level candidate cache (see
-	// candCache); it only applies to the incremental engine.
-	candidateCache bool
 }
 
 // engine holds BSA's mutable state. The ground truth is (serial, assign,
@@ -69,8 +60,8 @@ type engine struct {
 	// allocations).
 	norm *system.RouteNormalizer
 
-	// cache is the sweep-level candidate cache; nil when disabled or when
-	// the full-rebuild oracle engine is selected.
+	// cache is the sweep-level candidate cache; nil only in the
+	// full-rebuild oracle engine, which evaluates every row afresh.
 	cache *candCache
 
 	// curLen caches s.Length() after every (re)build so the guard and
@@ -82,10 +73,6 @@ type engine struct {
 	lenArg    graph.TaskID
 	updEndMax float64
 	updEndArg graph.TaskID
-
-	// version counts kept migrations; batch-evaluated candidate finish
-	// times are valid only while the version is unchanged.
-	version uint64
 
 	// Snapshot buffers for guarded commits: the mutable ground truth a
 	// migration of t can touch (t's assignment and its incident-edge
@@ -105,17 +92,14 @@ type engine struct {
 	// handful of routes per improvement instead of all of them.
 	touchedEdges []graph.EdgeID
 
-	// Per-worker scratch for migration evaluation (index 0 serves the
-	// sequential path), the flat arena behind per-pivot batch results, and
-	// the sweep's reusable task/row buffers.
-	scratch    []*evalScratch
-	ftFlat     []float64
-	ftRows     [][]float64
-	inEvals    []inEdgeEval
-	staleRows  []graph.TaskID
-	dirtyTasks []graph.TaskID
-	taskBuf    []graph.TaskID
-	rowBuf     []float64
+	// Reusable buffers of candidate evaluation (see evalRow) and of the
+	// sweep: the oracle's per-decision row, the cached engine's stale-entry
+	// mask and tasksOn's result.
+	sc       *evalScratch
+	inEvals  []inEdgeEval
+	rowBuf   []float64
+	staleBuf []bool
+	taskBuf  []graph.TaskID
 
 	// Event-driven update state (see updateFrom). All per-update flags are
 	// epoch-stamped so an update starts with a single counter increment
@@ -227,27 +211,10 @@ func newEngineCore(g *graph.Graph, sys *system.System, serial []graph.TaskID, cf
 		en.linkStripped = make([]uint32, sys.Net.NumLinks())
 		en.linkStripAt = make([]int64, sys.Net.NumLinks())
 		en.linkDirtied = make([]uint32, sys.Net.NumLinks())
-		if cfg.candidateCache {
-			en.cache = newCandCache(g.NumTasks(), g.NumEdges(), sys.Net.NumProcs(), sys.Net.NumLinks())
-		}
+		en.cache = newCandCache(g.NumTasks(), g.NumEdges(), sys.Net.NumProcs(), sys.Net.NumLinks())
 	}
-	// The worker pool serves both the cache-off batch evaluation and the
-	// cache-on frontier prefetch, so every worker gets a scratch.
-	nscratch := cfg.workers
-	if nscratch < 1 {
-		nscratch = 1
-	}
-	en.scratch = make([]*evalScratch, nscratch)
-	for i := range en.scratch {
-		en.scratch[i] = newEvalScratch(sys.Net.NumLinks())
-	}
-	name, err := resolveBackend(cfg.backend, cfg.fullRebuild, sys.Net)
-	if err != nil {
-		// The public contexts validate Options.Backend before building an
-		// engine, so an unknown name here is an internal caller's bug.
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	en.be = backendRegistry[name](en)
+	en.sc = newEvalScratch(sys.Net.NumLinks())
+	en.be = newBackend(en)
 	return en
 }
 
@@ -392,9 +359,7 @@ func (en *engine) updateFrom(mig graph.TaskID) {
 	en.epoch++
 	en.migTask = mig
 	en.pending = 0
-	if en.cache != nil {
-		en.cache.beginUpdate()
-	}
+	en.cache.beginUpdate()
 	for _, e := range en.g.In(mig) {
 		en.queueMsg(e)
 	}
@@ -411,16 +376,14 @@ func (en *engine) updateFrom(mig graph.TaskID) {
 	}
 }
 
-// markLinkDirty flags l's timeline as diverged this update and, when the
-// candidate cache is on, records it in the commit's change list.
+// markLinkDirty flags l's timeline as diverged this update and records it
+// in the candidate cache's change list.
 func (en *engine) markLinkDirty(l system.LinkID) {
 	if en.linkDirtied[l] == en.epoch {
 		return
 	}
 	en.linkDirtied[l] = en.epoch
-	if en.cache != nil {
-		en.cache.updLinks = append(en.cache.updLinks, l)
-	}
+	en.cache.updLinks = append(en.cache.updLinks, l)
 }
 
 // markProcDirty is markLinkDirty for processor timelines.
@@ -429,9 +392,7 @@ func (en *engine) markProcDirty(p system.ProcID) {
 		return
 	}
 	en.procDirtied[p] = en.epoch
-	if en.cache != nil {
-		en.cache.updProcs = append(en.cache.updProcs, p)
-	}
+	en.cache.updProcs = append(en.cache.updProcs, p)
 }
 
 func hopsEqual(a, b []schedule.Hop) bool {
@@ -502,12 +463,11 @@ func (en *engine) tasksOn(p system.ProcID) []graph.TaskID {
 	return ts
 }
 
-// evalScratch holds one worker's reusable buffers for migration
-// evaluation: tentative link reservations accumulated during one
-// evaluation so that the candidate task's own messages serialize on shared
-// links without mutating real timelines. Reservations are indexed by link
-// and reset via the touched list, so steady-state evaluation allocates
-// nothing.
+// evalScratch holds the reusable buffers of migration evaluation:
+// tentative link reservations accumulated during one evaluation so that
+// the candidate task's own messages serialize on shared links without
+// mutating real timelines. Reservations are indexed by link and reset via
+// the touched list, so steady-state evaluation allocates nothing.
 type evalScratch struct {
 	extra   [][]schedule.Slot // tentative slots per link, kept sorted by start
 	touched []system.LinkID
@@ -536,115 +496,9 @@ func (sc *evalScratch) add(l system.LinkID, start, end float64) {
 	sc.extra[l] = slots
 }
 
-// evalMigration computes the finish time task t would obtain on neighbour y
-// of its current processor, using the paper's local evaluation: each
-// incoming message keeps its current hop schedule up to the point where it
-// must be extended (or truncated) to reach y, and the new hop takes the
-// earliest insertion slot on the connecting link. Returns the tentative
-// finish time and data-ready time on y. It only reads engine state, so
-// concurrent calls with distinct scratches are safe.
-func (en *engine) evalMigration(t graph.TaskID, y system.ProcID, sc *evalScratch) (ft, drt float64) {
-	sc.reset()
-	pivot := en.assign[t]
-	link := system.LinkID(-1) // pivot->y link, resolved at most once
-	for _, e := range en.g.In(t) {
-		edge := en.g.Edge(e)
-		u := edge.From
-		var arr float64
-		switch {
-		case en.assign[u] == y:
-			// Message becomes intra-processor.
-			arr = en.s.Tasks[u].End
-		default:
-			// Does the current route already pass through y? If so the
-			// message would be truncated there.
-			arr = -1
-			for _, h := range en.s.Msgs[e].Hops {
-				if h.To == y {
-					arr = h.End
-					break
-				}
-			}
-			if arr < 0 {
-				// Extend with the hop pivot->y.
-				ready := en.s.Arrival(e) // end of current route at pivot
-				if link < 0 {
-					l, ok := en.sys.Net.LinkBetween(pivot, y)
-					if !ok {
-						panic(fmt.Sprintf("core: no link between P%d and neighbour P%d", pivot+1, y+1))
-					}
-					link = l
-				}
-				dur := en.s.HopDuration(e, link)
-				start := en.be.linkEarliestFitWithExtra(link, ready, dur, sc.extra[link])
-				sc.add(link, start, start+dur)
-				arr = start + dur
-			}
-		}
-		if arr > drt {
-			drt = arr
-		}
-	}
-	dur := en.s.ExecDuration(t, y)
-	start := en.be.procEarliestFit(y, drt, dur)
-	return start + dur, drt
-}
-
-// minParallelEvals is the batch size below which fanning candidate
-// evaluation out to the worker pool costs more than it saves.
-const minParallelEvals = 16
-
-// batchEval tentatively evaluates every (task, neighbour) candidate pair
-// against the current timelines on the worker pool and returns one row of
-// finish times per task (backed by a reused arena). Rows are only valid
-// while en.version is unchanged: evaluations are pure functions of the
-// current engine state, so the merge is deterministic regardless of worker
-// count or completion order. It returns nil when the batch is too small
-// for the pool to pay off; callers then fall back to evalRow.
-func (en *engine) batchEval(tasks []graph.TaskID, neighbors []system.Adj) [][]float64 {
-	nn := len(neighbors)
-	jobs := len(tasks) * nn
-	if en.cfg.fullRebuild || en.cfg.workers <= 1 || jobs < minParallelEvals {
-		return nil
-	}
-	if cap(en.ftFlat) < jobs {
-		en.ftFlat = make([]float64, jobs)
-	}
-	flat := en.ftFlat[:jobs]
-	rows := en.ftRows[:0]
-	for i := range tasks {
-		rows = append(rows, flat[i*nn:(i+1)*nn])
-	}
-	en.ftRows = rows
-
-	workers := en.cfg.workers
-	if workers > jobs {
-		workers = jobs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sc *evalScratch) {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= jobs {
-					return
-				}
-				ft, _ := en.evalMigration(tasks[j/nn], neighbors[j%nn].Proc, sc)
-				flat[j] = ft
-			}
-		}(en.scratch[w])
-	}
-	wg.Wait()
-	en.evaluations += jobs
-	return rows
-}
-
-// inEdgeEval is one prefetched in-edge of the pivot: everything
-// evalMigration reads per incoming message, gathered once per row instead
-// of once per (row, neighbour) pair. hops aliases the live schedule, which
+// inEdgeEval is one in-edge of the task under evaluation: everything
+// evalRow reads per incoming message, gathered once per row instead of
+// once per (row, neighbour) pair. hops aliases the live schedule, which
 // is fine because evaluation never mutates it.
 type inEdgeEval struct {
 	fromProc system.ProcID
@@ -655,13 +509,16 @@ type inEdgeEval struct {
 	hops     []schedule.Hop
 }
 
-// evalRow fills row with the tentative finish time of t on each neighbour,
-// evaluated sequentially against the current timelines. Both engines share
-// the pooled-scratch evaluation: the oracle's legacy per-call overlay map
-// had identical decision arithmetic and only differed in allocating. The
-// per-edge inputs are prefetched once for the whole row; the arithmetic is
-// exactly evalMigration's, so the two paths stay bit-identical.
-func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64) {
+// evalRow writes into row[i] the finish time task t would obtain on
+// neighbors[i], its current processor's neighbour, for every i whose
+// stale[i] is set (every i when stale is nil). It is the paper's local
+// evaluation: each incoming message keeps its current hop schedule up to
+// the point where it must be extended (or truncated) to reach the
+// neighbour, and the new hop takes the earliest insertion slot on the
+// connecting link. t's in-edges are gathered once per call however many
+// entries are stale, so the cache's partial refresh and the oracle's full
+// row share this one routine.
+func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64, stale []bool) {
 	ins := en.inEvals[:0]
 	for _, e := range en.g.In(t) {
 		edge := en.g.Edge(e)
@@ -680,21 +537,25 @@ func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64)
 		})
 	}
 	en.inEvals = ins
-	sc := en.scratch[0]
-	pivot := en.assign[t]
+	sc := en.sc
 	taskCost := en.g.Task(t).Cost
 	execRow := en.sys.Exec[t]
 	for ni, a := range neighbors {
-		y := a.Proc
+		if stale != nil && !stale[ni] {
+			continue
+		}
+		y, link := a.Proc, a.Link
 		sc.reset()
-		link := system.LinkID(-1) // pivot->y link, resolved at most once
 		var drt float64
 		for i := range ins {
 			in := &ins[i]
 			var arr float64
 			if in.fromProc == y {
+				// The message becomes intra-processor.
 				arr = in.fromEnd
 			} else {
+				// A route already passing through y is truncated there;
+				// otherwise it is extended by the hop pivot->y.
 				arr = -1
 				for h := range in.hops {
 					if in.hops[h].To == y {
@@ -703,13 +564,6 @@ func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64)
 					}
 				}
 				if arr < 0 {
-					if link < 0 {
-						l, ok := en.sys.Net.LinkBetween(pivot, y)
-						if !ok {
-							panic(fmt.Sprintf("core: no link between P%d and neighbour P%d", pivot+1, y+1))
-						}
-						link = l
-					}
 					dur := in.cost
 					if in.commRow != nil {
 						dur = in.commRow[link] * in.cost
@@ -726,8 +580,8 @@ func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64)
 		dur := execRow[y] * taskCost
 		start := en.be.procEarliestFit(y, drt, dur)
 		row[ni] = start + dur
+		en.evaluations++
 	}
-	en.evaluations += len(neighbors)
 }
 
 // commitMigration moves t from its current processor to neighbour y,
@@ -765,7 +619,6 @@ func (en *engine) commitMigration(t graph.TaskID, y system.ProcID, guard bool) b
 		kept = false
 	}
 	if kept {
-		en.version++
 		if en.cache != nil {
 			en.cache.stampCommit()
 		}

@@ -169,10 +169,24 @@ func TestEvalMigrationMatchesCommit(t *testing.T) {
 	// after an (unguarded) commit when the task has no placed successors'
 	// interference — true for the sink early on.
 	en := exampleEngine(t)
-	// Pick T5 (the OB task, a sink with a single pred on the pivot).
-	ft, drt := en.evalMigration(4, 0, en.scratch[0])
-	if drt <= 0 || ft <= drt {
-		t.Fatalf("eval: ft=%v drt=%v", ft, drt)
+	// Pick T5 (the OB task, a sink with a single pred on the pivot) and
+	// evaluate it on the pivot's neighbour P1.
+	nbrs := en.sys.Net.Neighbors(en.assign[4])
+	ni := -1
+	for i, a := range nbrs {
+		if a.Proc == 0 {
+			ni = i
+		}
+	}
+	if ni < 0 {
+		t.Fatal("P1 is not a neighbour of the pivot")
+	}
+	row := make([]float64, len(nbrs))
+	en.evalRow(4, nbrs, row, nil)
+	ft := row[ni]
+	pred := en.g.Edge(en.g.In(4)[0]).From
+	if predEnd := en.s.Tasks[pred].End; predEnd <= 0 || ft <= predEnd {
+		t.Fatalf("eval: ft=%v not after its predecessor's end %v", ft, predEnd)
 	}
 	en.applyMigration(4, 0)
 	if got := en.s.Tasks[4].End; got != ft {

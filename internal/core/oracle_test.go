@@ -37,9 +37,9 @@ func assertSchedulesIdentical(t *testing.T, label string, a, b *Result) {
 
 // TestIncrementalMatchesOracle is the central equivalence property: across
 // random graphs, random connected topologies and seeds, the incremental
-// engine (suffix rebuilds + snapshot rollback, with and without parallel
-// candidate evaluation, with and without the sweep-level candidate cache)
-// must produce byte-identical schedules to the full-rebuild oracle.
+// engine (cone updates, snapshot rollback and the sweep-level candidate
+// cache, on both backends) must produce byte-identical schedules to the
+// full-rebuild oracle.
 func TestIncrementalMatchesOracle(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -54,21 +54,16 @@ func TestIncrementalMatchesOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		oracle, err := Schedule(g, sys, Options{Seed: seed, UseFullRebuild: true, Workers: 1})
+		oracle, err := Schedule(g, sys, Options{Seed: seed, UseFullRebuild: true})
 		if err != nil {
 			return false
 		}
-		for _, opt := range []Options{
-			{Seed: seed, Workers: 1},
-			{Seed: seed, Workers: 4},
-			{Seed: seed, Workers: 1, DisableCandidateCache: true},
-			{Seed: seed, Workers: 4, DisableCandidateCache: true},
-		} {
-			inc, err := Schedule(g, sys, opt)
+		for _, be := range conformanceBackends {
+			inc, err := Schedule(g, sys, Options{Seed: seed, backend: be})
 			if err != nil {
 				return false
 			}
-			assertSchedulesIdentical(t, fmt.Sprintf("seed=%d n=%d m=%d opt=%+v", seed, n, m, opt), oracle, inc)
+			assertSchedulesIdentical(t, fmt.Sprintf("seed=%d n=%d m=%d backend=%s", seed, n, m, be), oracle, inc)
 		}
 		return true
 	}
@@ -90,13 +85,9 @@ func TestIncrementalMatchesOracleAblations(t *testing.T) {
 		{DisableMigrationGuard: true},
 		{MaxSweeps: 1},
 		{GuardSlack: -1},
-		{DisableCandidateCache: true},
-		{DisableVIPFollow: true, DisableCandidateCache: true},
-		{DisableMigrationGuard: true, DisableCandidateCache: true},
 	} {
 		oracleOpt := opt
 		oracleOpt.UseFullRebuild = true
-		oracleOpt.Workers = 1
 		oracle, err := Schedule(g, sys, oracleOpt)
 		if err != nil {
 			t.Fatal(err)
@@ -113,42 +104,13 @@ func TestIncrementalMatchesOracleAblations(t *testing.T) {
 func TestIncrementalMatchesOraclePaperExample(t *testing.T) {
 	g := gen.PaperExampleGraph()
 	sys := gen.PaperExampleSystem(g)
-	oracle, err := Schedule(g, sys, Options{UseFullRebuild: true, Workers: 1})
+	oracle, err := Schedule(g, sys, Options{UseFullRebuild: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := Schedule(g, sys, Options{Workers: 8})
+	inc, err := Schedule(g, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSchedulesIdentical(t, "paper example", oracle, inc)
-}
-
-// TestParallelSweepRace drives the parallel candidate evaluation hard
-// enough for the race detector to observe the worker pool: large fan-out
-// graphs on a clique give every pivot a big batch. Run with -race in CI.
-func TestParallelSweepRace(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomConnectedDAG(rng, 80, 0.08)
-	nw, err := system.FullyConnected(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := system.NewRandom(nw, g.NumTasks(), g.NumEdges(), 1, 30, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Schedule(g, sys, Options{Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		// The batch pool only serves the cache-off engine, so the race
-		// coverage must disable the candidate cache explicitly.
-		got, err := Schedule(g, sys, Options{Seed: 3, Workers: workers, DisableCandidateCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSchedulesIdentical(t, fmt.Sprintf("workers=%d", workers), want, got)
-	}
 }

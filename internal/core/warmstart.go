@@ -16,7 +16,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/schedule"
 	"repro/sched/graph"
@@ -61,17 +60,13 @@ func Reschedule(g *graph.Graph, sys *system.System, warm WarmStart, opt Options)
 // RescheduleContext adopts warm's (serial, assign, routes) ground truth
 // into engine timelines, marks the dirty frontier, and reconverges with
 // breadth-first migration sweeps restricted to that frontier. The warm
-// path always uses the incremental engine with the candidate cache on —
-// the commit-stamped change lists are what make frontier expansion sound
-// — so Options.UseFullRebuild and DisableCandidateCache are ignored;
-// Options.Workers and Options.Backend are honored like the cold path.
-// Result.Serial reports the adopted serial order; Result.DirtyTasks the
-// frontier size after adoption diffing.
+// path always uses the incremental engine — the candidate cache's
+// commit-stamped change lists are what make frontier expansion sound — so
+// Options.UseFullRebuild is ignored. Result.Serial reports the adopted
+// serial order; Result.DirtyTasks the frontier size after adoption
+// diffing.
 func RescheduleContext(ctx context.Context, g *graph.Graph, sys *system.System, warm WarmStart, opt Options) (*Result, error) {
 	if err := sys.Validate(g.NumTasks(), g.NumEdges()); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if _, err := resolveBackend(opt.Backend, false, sys.Net); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
@@ -90,25 +85,9 @@ func RescheduleContext(ctx context.Context, g *graph.Graph, sys *system.System, 
 	}
 	res.Serial = warm.Serial
 
-	slack := opt.GuardSlack
-	switch {
-	case slack == 0:
-		slack = DefaultGuardSlack
-	case slack < 0:
-		slack = 0
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	en := newWarmEngine(g, sys, warm.Serial, warm.Assign, warm.Routes, engineConfig{
-		pruneRoutes:    !opt.DisableRoutePruning,
-		guardSlack:     slack,
-		backend:        opt.Backend,
-		fullRebuild:    false,
-		workers:        workers,
-		candidateCache: true,
-	})
+	cfg := opt.engineConfig()
+	cfg.fullRebuild = false
+	en := newWarmEngine(g, sys, warm.Serial, warm.Assign, warm.Routes, cfg)
 	en.setContext(ctx)
 
 	ds := newDirtySet(n)
@@ -155,47 +134,9 @@ func RescheduleContext(ctx context.Context, g *graph.Graph, sys *system.System, 
 	}
 	res.InitialPivot = root
 
-	maxSweeps := opt.MaxSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = 4 * m
+	if err := converge(ctx, en, root, ds, opt, res); err != nil {
+		return nil, err
 	}
-	bfs := sys.Net.BFSOrder(root)
-	stale := 0
-	for sweep := 0; sweep < maxSweeps && ds.n > 0; sweep++ {
-		migrationsBefore := res.Migrations
-		bestBefore := en.bestLen
-		res.Sweeps++
-		if err := warmSweepOnce(ctx, en, sys, bfs, ds, opt, res); err != nil {
-			return nil, fmt.Errorf("core: after %d sweeps, %d migrations: %w",
-				res.Sweeps, res.Migrations, err)
-		}
-		if res.Migrations == migrationsBefore {
-			break // fixpoint: the frontier had nothing left to move
-		}
-		// Same stagnation cutoff as the cold path: VIP-following can
-		// shuffle tasks without improving the best schedule seen.
-		if en.bestLen >= bestBefore-cmpEps {
-			stale++
-			if stale >= 2 {
-				break
-			}
-		} else {
-			stale = 0
-		}
-	}
-
-	if en.restoreBest() {
-		res.RestoredBest = true
-	}
-
-	res.Evaluations = en.evaluations
-	res.Rebuilds = en.rebuilds
-	res.Placements = en.placements
-	res.MsgPlacements = en.msgPlaces
-	res.CacheHits = en.cache.hits
-	res.CachePartials = en.cache.partial
-	res.CacheMisses = en.cache.misses
-	res.Schedule = en.finalSchedule()
 	return res, nil
 }
 
@@ -289,79 +230,4 @@ func (ds *dirtySet) expand(en *engine) {
 	for _, e := range c.updMsgs {
 		ds.mark(en.g.Edge(e).To)
 	}
-}
-
-// warmSweepOnce is sweepOnce restricted to the dirty frontier: only dirty
-// tasks are brought current and considered for migration, each is removed
-// from the frontier once examined, and every kept commit re-adds its
-// dependency cone. The decision arithmetic is identical to the cold
-// sweep, so a frontier covering all tasks degenerates to exactly
-// sweepOnce.
-func warmSweepOnce(ctx context.Context, en *engine, sys *system.System, bfs []system.ProcID, ds *dirtySet, opt Options, res *Result) error {
-	for _, pivot := range bfs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		neighbors := sys.Net.Neighbors(pivot)
-		if len(neighbors) == 0 {
-			continue
-		}
-		tasks := en.tasksOn(pivot)
-		if len(tasks) == 0 {
-			continue
-		}
-		// Prefetch the rows of the tasks dirty at pass start; tasks a
-		// mid-pass commit marks are still picked up by the live flag check
-		// below and evaluated serially, exactly as before.
-		dirty := en.dirtyTasks[:0]
-		for _, t := range tasks {
-			if ds.flag[t] {
-				dirty = append(dirty, t)
-			}
-		}
-		en.dirtyTasks = dirty
-		if len(dirty) > 0 {
-			en.prefetchRows(dirty, pivot, neighbors)
-		}
-		for _, t := range tasks {
-			if !ds.flag[t] {
-				continue
-			}
-			ds.clear(t)
-			en.ensureRow(t, pivot, neighbors)
-			bestFT, bestY := en.cache.bestFT[t], en.cache.bestY[t]
-			vipFT, vipY := en.cache.vipFT[t], en.cache.vipY[t]
-			curFT := en.s.Tasks[t].End
-			guard := !opt.DisableMigrationGuard
-			switch {
-			case bestY >= 0 && bestFT < curFT-cmpEps:
-				kept := en.commitMigration(t, bestY, guard)
-				recordStep(opt, res, t, pivot, bestY, kept)
-				if kept {
-					res.Migrations++
-					ds.expand(en)
-				} else {
-					res.Reverted++
-				}
-				if en.cancelErr != nil {
-					// Canceled mid-cone-update; the slot state is torn, so
-					// abort without another decision.
-					return en.cancelErr
-				}
-			case !opt.DisableVIPFollow && vipY >= 0 && vipFT <= curFT*(1+vipSlack)+cmpEps:
-				kept := en.commitMigration(t, vipY, guard)
-				recordStep(opt, res, t, pivot, vipY, kept)
-				if kept {
-					res.Migrations++
-					ds.expand(en)
-				} else {
-					res.Reverted++
-				}
-				if en.cancelErr != nil {
-					return en.cancelErr
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -15,7 +15,11 @@ type AblationVariant struct {
 	Opts []sched.Option
 }
 
-// DefaultAblationVariants covers the design choices DESIGN.md §5 calls out.
+// DefaultAblationVariants covers the choices this implementation makes
+// where the paper's pseudocode is silent or literal-minded: sweeping to a
+// fixpoint instead of once, the bubble-up migration guard, following the
+// VIP when no neighbour improves the finish time, and splicing loops out
+// of incrementally grown routes. Each variant turns one of them off.
 func DefaultAblationVariants() []AblationVariant {
 	return []AblationVariant{
 		{"default", nil},
@@ -23,10 +27,9 @@ func DefaultAblationVariants() []AblationVariant {
 		{"no-guard", []sched.Option{sched.WithMigrationGuard(false)}},
 		{"no-vip-follow", []sched.Option{sched.WithVIPFollow(false)}},
 		{"no-route-pruning", []sched.Option{sched.WithRoutePruning(false)}},
-		// The engine ablations must land on exactly 1.00x the default's
+		// The engine ablation must land on exactly 1.00x the default's
 		// schedule lengths — a visible sanity check that the incremental
-		// engine and its candidate cache change performance, not results.
-		{"no-candidate-cache", []sched.Option{sched.WithCandidateCache(false)}},
+		// engine changes performance, not results.
 		{"full-rebuild", []sched.Option{sched.WithFullRebuild(true)}},
 	}
 }

@@ -14,12 +14,12 @@ func TestRunAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7 {
+	if len(rows) != 6 {
 		t.Fatalf("rows=%d", len(rows))
 	}
-	// The engine ablations must match the default engine exactly.
+	// The engine ablation must match the default engine exactly.
 	for _, r := range rows {
-		if (r.Variant == "full-rebuild" || r.Variant == "no-candidate-cache") && r.MeanVsBase != 1 {
+		if r.Variant == "full-rebuild" && r.MeanVsBase != 1 {
 			t.Errorf("%s engine ablation diverges from default: %+v", r.Variant, r)
 		}
 	}

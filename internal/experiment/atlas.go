@@ -110,8 +110,7 @@ func RunAtlas(cfg Config) (*Atlas, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiment: atlas %s: %w", family, err)
 				}
-				res, err := s.Schedule(ctx, p,
-					sched.WithSeed(deriveSeed(cfg.Seed, 14)), sched.WithWorkers(1))
+				res, err := s.Schedule(ctx, p, sched.WithSeed(deriveSeed(cfg.Seed, 14)))
 				if err != nil {
 					return nil, fmt.Errorf("experiment: atlas %s on %s (het=%v): %w", algo, family, hi == 1, err)
 				}

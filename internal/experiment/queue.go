@@ -168,11 +168,7 @@ func (cw *cellWorker) run(ctx context.Context, sp cellSpec) cellResult {
 	if err != nil {
 		return cellResult{idx: sp.idx, err: err}
 	}
-	// Workers 1: the harness already saturates the machine with one
-	// instance per queue worker, so per-engine candidate parallelism
-	// would only oversubscribe it.
-	res, err := s.Schedule(ctx, sched.Problem{Graph: cw.g, System: cw.sys},
-		sched.WithSeed(sp.seed), sched.WithWorkers(1))
+	res, err := s.Schedule(ctx, sched.Problem{Graph: cw.g, System: cw.sys}, sched.WithSeed(sp.seed))
 	if err != nil {
 		return cellResult{idx: sp.idx, err: fmt.Errorf("experiment: %s on %d-task %v graph (%s, %d procs, seed %d): %w",
 			sp.algo, sp.size, sp.kind, sp.topo, sp.procs, sp.seed, err)}

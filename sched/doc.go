@@ -35,7 +35,7 @@
 //	s, err := sched.Lookup("bsa")
 //	if err != nil { ... }
 //	res, err := s.Schedule(ctx, sched.Problem{Graph: g, System: sys},
-//		sched.WithSeed(42), sched.WithWorkers(4))
+//		sched.WithSeed(42))
 //	if err != nil { ... }
 //	fmt.Println(res.Makespan, res.Summary)
 //
@@ -69,8 +69,8 @@
 // plus Stats counters (dirty_tasks, evaluations, delta_ops) that
 // quantify how much work the warm start saved over a cold run.
 //
-// Functional options (WithSeed, WithWorkers, WithFullRebuild,
-// WithInsertion, ...) replace the per-package option structs of earlier
+// Functional options (WithSeed, WithFullRebuild, WithInsertion,
+// WithMaxSweeps, ...) replace the per-package option structs of earlier
 // revisions; options an algorithm does not understand are ignored, which
 // lets one option list drive heterogeneous algorithm sets in sweeps.
 //

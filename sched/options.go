@@ -11,20 +11,6 @@ type Config struct {
 	// Seed drives tie-breaking RNGs (BSA's critical-path tie breaks).
 	Seed int64
 
-	// Workers bounds intra-run parallelism for algorithms that have any
-	// (BSA's speculative candidate evaluation: batch evaluation on the
-	// cache-off engine, parallel row prefetch on the cached engine).
-	// 0 means GOMAXPROCS, 1 forces sequential evaluation; the schedule is
-	// identical either way.
-	Workers int
-
-	// Backend selects BSA's schedule-state backend by name: "soa"
-	// (structure-of-arrays slot state, no strip/restore churn) or
-	// "reference" (the original lazily-stripped timelines). Empty picks
-	// per topology — the backends produce byte-identical schedules
-	// (conformance-tested), so the choice is purely a speed trade.
-	Backend string
-
 	// FullRebuild selects BSA's legacy full-rebuild engine, the
 	// correctness oracle of the incremental engine.
 	FullRebuild bool
@@ -44,20 +30,12 @@ type Config struct {
 	// means a strict no-regression guard.
 	GuardSlack float64
 
-	// VIPFollow, RoutePruning, MigrationGuard, HeterogeneityAdjust and
-	// CandidateCache are ablation knobs; all default to on (the published
-	// algorithms, on the fastest engine configuration).
+	// VIPFollow, RoutePruning, MigrationGuard and HeterogeneityAdjust are
+	// ablation knobs; all default to on (the published algorithms).
 	VIPFollow           bool
 	RoutePruning        bool
 	MigrationGuard      bool
 	HeterogeneityAdjust bool
-
-	// CandidateCache enables BSA's sweep-level candidate cache: candidate
-	// finish-time rows are memoized and a committed migration re-evaluates
-	// only the rows and entries its dependency cone touched. Schedules are
-	// byte-identical with the cache on or off; only the evaluation count
-	// changes. On by default.
-	CandidateCache bool
 }
 
 // Option customizes one Schedule call.
@@ -71,7 +49,6 @@ func NewConfig(opts ...Option) Config {
 		RoutePruning:        true,
 		MigrationGuard:      true,
 		HeterogeneityAdjust: true,
-		CandidateCache:      true,
 	}
 	for _, opt := range opts {
 		if opt != nil {
@@ -84,16 +61,13 @@ func NewConfig(opts ...Option) Config {
 // WithSeed sets the tie-breaking RNG seed.
 func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 
-// WithWorkers bounds intra-run worker goroutines (0 = GOMAXPROCS,
-// 1 = sequential). Results are identical for every value; the pool
-// serves speculative candidate evaluation on both BSA engines (batch
-// evaluation cache-off, row prefetch cache-on).
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithBackend selects BSA's schedule-state backend ("soa" or
-// "reference"; empty picks per topology). Schedules are byte-identical
-// across backends — the knob trades speed, never output.
-func WithBackend(name string) Option { return func(c *Config) { c.Backend = name } }
+// WithWorkers has no effect; it is kept so existing callers compile.
+// BSA's migration decisions are serial by construction — each reads the
+// timelines the previous commit left — so its candidate evaluation always
+// runs sequentially, and no other algorithm runs intra-run workers.
+//
+// Deprecated: remove the call.
+func WithWorkers(int) Option { return func(*Config) {} }
 
 // WithFullRebuild toggles BSA's legacy full-rebuild oracle engine.
 func WithFullRebuild(on bool) Option { return func(c *Config) { c.FullRebuild = on } }
@@ -119,8 +93,3 @@ func WithMigrationGuard(on bool) Option { return func(c *Config) { c.MigrationGu
 
 // WithHeterogeneityAdjust toggles DLS's Delta(t,p) term (ablation).
 func WithHeterogeneityAdjust(on bool) Option { return func(c *Config) { c.HeterogeneityAdjust = on } }
-
-// WithCandidateCache toggles BSA's sweep-level candidate cache (ablation;
-// default on). Results are identical either way — the knob exists so the
-// ablation harness can measure the cache, not to trade accuracy for speed.
-func WithCandidateCache(on bool) Option { return func(c *Config) { c.CandidateCache = on } }

@@ -40,15 +40,12 @@ func (b bsaScheduler) Schedule(ctx context.Context, p sched.Problem, opts ...sch
 	start := time.Now()
 	res, err := core.ScheduleContext(ctx, p.Graph, p.System, core.Options{
 		Seed:                  cfg.Seed,
-		Workers:               cfg.Workers,
-		Backend:               cfg.Backend,
 		UseFullRebuild:        b.fullRebuild || cfg.FullRebuild,
 		MaxSweeps:             cfg.MaxSweeps,
 		GuardSlack:            cfg.GuardSlack,
 		DisableVIPFollow:      !cfg.VIPFollow,
 		DisableRoutePruning:   !cfg.RoutePruning,
 		DisableMigrationGuard: !cfg.MigrationGuard,
-		DisableCandidateCache: !cfg.CandidateCache,
 	})
 	if err != nil {
 		return nil, err

@@ -209,7 +209,6 @@ func Reschedule(ctx context.Context, prev Result, delta Delta, opts ...Option) (
 		PrevMsgs:  prevMsgs,
 	}, core.Options{
 		Seed:                  cfg.Seed,
-		Backend:               cfg.Backend,
 		MaxSweeps:             cfg.MaxSweeps,
 		GuardSlack:            cfg.GuardSlack,
 		DisableVIPFollow:      !cfg.VIPFollow,

@@ -144,21 +144,20 @@ func TestProblemValidate(t *testing.T) {
 
 func TestNewConfigDefaultsAndOptions(t *testing.T) {
 	cfg := NewConfig()
-	if !cfg.VIPFollow || !cfg.RoutePruning || !cfg.MigrationGuard || !cfg.HeterogeneityAdjust || !cfg.CandidateCache {
+	if !cfg.VIPFollow || !cfg.RoutePruning || !cfg.MigrationGuard || !cfg.HeterogeneityAdjust {
 		t.Fatalf("defaults must be the published algorithms: %+v", cfg)
 	}
-	if cfg.Seed != 0 || cfg.Workers != 0 || cfg.FullRebuild || cfg.Insertion || cfg.MaxSweeps != 0 || cfg.GuardSlack != 0 {
+	if cfg.Seed != 0 || cfg.FullRebuild || cfg.Insertion || cfg.MaxSweeps != 0 || cfg.GuardSlack != 0 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
 
 	cfg = NewConfig(
-		WithSeed(7), WithWorkers(3), WithFullRebuild(true), WithInsertion(true),
+		WithSeed(7), WithFullRebuild(true), WithInsertion(true),
 		WithMaxSweeps(2), WithGuardSlack(-1), WithVIPFollow(false),
 		WithRoutePruning(false), WithMigrationGuard(false), WithHeterogeneityAdjust(false),
-		WithCandidateCache(false),
 		nil,
 	)
-	want := Config{Seed: 7, Workers: 3, FullRebuild: true, Insertion: true, MaxSweeps: 2, GuardSlack: -1}
+	want := Config{Seed: 7, FullRebuild: true, Insertion: true, MaxSweeps: 2, GuardSlack: -1}
 	if cfg != want {
 		t.Fatalf("cfg=%+v want %+v", cfg, want)
 	}

@@ -108,7 +108,7 @@ func TestRescheduleEndpointByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := bsa.Schedule(ctx, p, sched.WithSeed(1), sched.WithWorkers(1))
+	prev, err := bsa.Schedule(ctx, p, sched.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

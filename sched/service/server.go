@@ -378,7 +378,7 @@ func (s *Server) rebuildJob(rec *Record) (*job, *ErrorBody) {
 		}
 		seed := req.Seed
 		return s.buildJob(context.Background(), rec.clone(), 0, func(ctx context.Context) (*sched.Result, error) {
-			return scheduler.Schedule(ctx, p, sched.WithSeed(seed), sched.WithWorkers(1))
+			return scheduler.Schedule(ctx, p, sched.WithSeed(seed))
 		}), nil
 	}
 }
@@ -427,7 +427,7 @@ func (s *Server) resultOf(ctx context.Context, id string) (*sched.Result, error)
 		if errBody != nil {
 			return nil, errBody
 		}
-		return scheduler.Schedule(ctx, p, sched.WithSeed(req.Seed), sched.WithWorkers(1))
+		return scheduler.Schedule(ctx, p, sched.WithSeed(req.Seed))
 	}
 }
 
@@ -470,7 +470,7 @@ func (s *Server) newJob(base context.Context, req *ScheduleRequest, persist bool
 	}
 	seed := req.Seed
 	j := s.buildJob(base, rec, req.TimeoutMS, func(ctx context.Context) (*sched.Result, error) {
-		return scheduler.Schedule(ctx, p, sched.WithSeed(seed), sched.WithWorkers(1))
+		return scheduler.Schedule(ctx, p, sched.WithSeed(seed))
 	})
 	j.persist = persist
 	return j, nil
@@ -1586,12 +1586,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, s.metrics.vars.String())
 }
 
+// writeJSON writes v as compact JSON, so a document embedded as raw JSON
+// (ScheduleResponse.Schedule) reaches the client as the library's exact
+// bytes; schedctl pretty-prints what it shows.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the response is already committed
 }
 
 // retryAfterSeconds is the Retry-After hint attached to every 503: the

@@ -64,7 +64,7 @@ func TestScheduleByNamedTopology(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := bsa.Schedule(ctx, p, sched.WithSeed(1), sched.WithWorkers(1))
+		direct, err := bsa.Schedule(ctx, p, sched.WithSeed(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func paperReference(t *testing.T, algo string, seed int64) ([]byte, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Schedule(context.Background(), p, sched.WithSeed(seed), sched.WithWorkers(1))
+	res, err := s.Schedule(context.Background(), p, sched.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestStoreReplayOnBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := bsa.Schedule(ctx, p, sched.WithSeed(1), sched.WithWorkers(1))
+	prev, err := bsa.Schedule(ctx, p, sched.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func NewRandom(nw *Network, nTasks, nEdges int, lo, hi float64, rng *rand.Rand) 
 // the *variance* of actual costs while keeping their scale fixed, which is
 // the only reading consistent with the paper's Figure 7 (schedule lengths
 // grow ~30% when the heterogeneity range grows from [1,10] to [1,200];
-// unnormalized multiplicative factors would grow them ~20x). See DESIGN.md.
+// unnormalized multiplicative factors would grow them ~20x).
 func NewRandomNormalized(nw *Network, nTasks, nEdges int, lo, hi float64, rng *rand.Rand) (*System, error) {
 	s, err := NewRandom(nw, nTasks, nEdges, lo, hi, rng)
 	if err != nil {
@@ -107,7 +107,9 @@ func NewRandomNormalized(nw *Network, nTasks, nEdges int, lo, hi float64, rng *r
 // processor". Widening [lo, hi] increases the penalty of every non-optimal
 // placement while the best-case stays fixed, reproducing Figure 7's mild
 // schedule-length growth with the heterogeneity range. This is the model
-// the experiment harness uses; see DESIGN.md §3.
+// the experiment harness uses: of the two normalizations it is the one the
+// paper states, and the nominal costs of a generated graph keep their
+// meaning at every heterogeneity range.
 func NewRandomMinNormalized(nw *Network, nTasks, nEdges int, lo, hi float64, rng *rand.Rand) (*System, error) {
 	s, err := NewRandom(nw, nTasks, nEdges, lo, hi, rng)
 	if err != nil {

@@ -37,8 +37,7 @@ type BSATrace struct {
 	// CacheHits, CachePartials and CacheMisses describe the sweep-level
 	// candidate cache: rows served without re-evaluation, rows refreshed
 	// by re-evaluating only commit-stamped entries, and rows evaluated in
-	// full. All zero when the cache is disabled (WithCandidateCache(false)
-	// or the full-rebuild engine).
+	// full. All zero on the full-rebuild engine, which has no cache.
 	CacheHits     int
 	CachePartials int
 	CacheMisses   int

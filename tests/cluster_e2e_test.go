@@ -36,7 +36,7 @@ func paperScheduleRef(t *testing.T, seed int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bsa.Schedule(context.Background(), p, sched.WithSeed(seed), sched.WithWorkers(1))
+	res, err := bsa.Schedule(context.Background(), p, sched.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

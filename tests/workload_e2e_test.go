@@ -75,7 +75,7 @@ func TestWorkloadPackSchedulesEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := bsa.Schedule(ctx, p, sched.WithSeed(7), sched.WithWorkers(1))
+			direct, err := bsa.Schedule(ctx, p, sched.WithSeed(7))
 			if err != nil {
 				t.Fatalf("library schedule: %v", err)
 			}
