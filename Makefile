@@ -68,14 +68,16 @@ apiseal:
 	$(GO) test ./tests -run TestExternalConsumerBuilds -count 1
 
 # fuzz runs each fuzz target for FUZZTIME (the CI smoke uses 20s; raise it
-# locally for a real hunt): the seven loader targets and FuzzBSA, the
+# locally for a real hunt): the seven loader targets, FuzzBSA, the
 # scheduler's differential target (both backends against the full-rebuild
-# oracle on generated instances). Go runs one -fuzz target per
-# invocation, hence the eight lines. Seed corpora are committed under
-# sched/testdata/fuzz, sched/{graph,system,workload}/testdata/fuzz and
-# the golden interchange files; the workload corpora are seeded from the
-# testdata/workloads scenario pack, and FuzzBSA's seeds are f.Add entries
-# covering every topology family.
+# oracle on generated instances and ablation options), and
+# FuzzTimelineFit and FuzzSoaFit, which check the memoized earliest-fit
+# scans of both slot layouts against a memo-free scan. Go runs one -fuzz
+# target per invocation, hence the ten lines. Seed corpora are committed
+# under sched/testdata/fuzz, sched/{graph,system,workload}/testdata/fuzz
+# and the golden interchange files; the workload corpora are seeded from
+# the testdata/workloads scenario pack, and the scheduler and fit
+# targets' seeds are f.Add entries.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./sched/graph -run '^$$' -fuzz '^FuzzGraphFromDOT$$' -fuzztime $(FUZZTIME)
@@ -86,6 +88,8 @@ fuzz:
 	$(GO) test ./sched/workload -run '^$$' -fuzz '^FuzzWorkloadSTG$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./sched/workload -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzBSA$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/schedule -run '^$$' -fuzz '^FuzzTimelineFit$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSoaFit$$' -fuzztime $(FUZZTIME)
 
 # atlas regenerates the README results atlas in one command: every
 # topology family x algorithm x heterogeneity on one seeded instance,
@@ -145,14 +149,23 @@ bench-schedd:
 
 # profile captures CPU and allocation profiles of the BSA engine on its
 # evaluation-heaviest benchmark point (fully connected 16-processor
-# network, n=500). Open interactively with
-#     go tool pprof -http=: cpu.pprof
-# README's "Profiling the engine" section explains what the flame graph
-# normally looks like and which shapes indicate a regression.
+# network, n=500, SoA backend) and a CPU profile of the bsa-sparse shape
+# (ring-16, n=500, reference backend, where the fit scans dominate), then
+# prints each CPU profile's top 15 functions and writes the same summary
+# to profile.txt. Open interactively with
+#     go tool pprof -http=: bsa.test cpu.pprof
+# README's "Profiling the engine" section explains what the two profiles
+# normally look like and which shapes indicate a regression.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkBSATopologies/incremental$$/full=16$$' -benchtime 10x \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o bsa.test .
-	@echo "wrote cpu.pprof, mem.pprof (binary: bsa.test)"
+	$(GO) test -run '^$$' -bench 'BenchmarkBSATopologies/incremental$$/ring=16$$' -benchtime 20x \
+		-cpuprofile cpu-ring.pprof -o bsa.test .
+	{ echo "== full=16, n=500 (SoA backend): cpu.pprof"; \
+	  $(GO) tool pprof -top -nodecount 15 bsa.test cpu.pprof; \
+	  echo "== ring=16, n=500 (reference backend): cpu-ring.pprof"; \
+	  $(GO) tool pprof -top -nodecount 15 bsa.test cpu-ring.pprof; } | tee profile.txt
+	@echo "wrote cpu.pprof, mem.pprof, cpu-ring.pprof, profile.txt (binary: bsa.test)"
 	@echo "view: go tool pprof -http=: bsa.test cpu.pprof"
 
 # benchcmp diffs two bench JSONs locally: make benchcmp OLD=a.json NEW=b.json

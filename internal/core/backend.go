@@ -60,16 +60,20 @@ const (
 )
 
 // soaDensityThreshold is the link-density cutoff above which the SoA
-// backend is the default. The two backends trade exactly on slots per
-// link timeline: SoA never strips, so its visibility-filtered fit scans
-// walk over invisible slots, which is cheap when each link carries a
-// handful of hops (dense networks route in one hop across many links —
-// measured 22% faster than reference on full=16 at n=500) and dominates
-// runtime when few links carry every multi-hop route (measured 13% slower
-// on ring/hypercube/mesh-16 at n=500, 27% on ring-16, where 16 links hold
-// ~5k hops). Density — links as a fraction of the complete graph's — is a
-// static, cost-free proxy for that ratio: 1.0 for fully connected, 0.27
-// for hypercube-16, 0.13 for ring-16.
+// backend is the default. Sequentially at n=500, SoA beats reference on
+// fully connected networks (dense networks route in one hop across many
+// links, so each link timeline stays short) and loses on ring, hypercube
+// and mesh, where 16 links carry every multi-hop route. The loss is not
+// the visibility filter: an SoA fit on those networks steps over one to
+// four invisible slots against 50–65 visible ones (counted on the
+// BenchmarkBSATopologies instances), and both backends share the
+// rejected-run memo that cuts the visible steps. It is SoA's per-item
+// bookkeeping — owner searches, slot shifts, evictions and
+// removal-interval lists — which costs more than the reference's strip
+// and re-reserve when few long timelines absorb every update. Density —
+// links as a fraction of the complete graph's — is a static, cost-free
+// proxy for that trade: 1.0 for fully connected, 0.27 for hypercube-16,
+// 0.13 for ring-16.
 const soaDensityThreshold = 0.75
 
 // defaultBackend picks the backend for a network: SoA on dense

@@ -62,6 +62,13 @@ import (
 // pass.
 const allVisible = int64(math.MaxInt64)
 
+// soaSlot is one reserved span: [start, end) occupied by owner, placed at
+// processing-order key.
+type soaSlot struct {
+	start, end float64
+	owner, key int64
+}
+
 // soaTL is one resource's slot state in structure-of-arrays layout,
 // sorted by start (ends monotone up to timeEps, like Timeline).
 //
@@ -73,16 +80,57 @@ const allVisible = int64(math.MaxInt64)
 // visible slot" (the common case: items place near the frontier) would
 // scan the whole remaining array, which is exactly the linear churn this
 // backend exists to avoid.
-// soaSlot is one reserved span: [start, end) occupied by owner, placed at
-// processing-order key.
-type soaSlot struct {
-	start, end float64
-	owner, key int64
-}
-
 type soaTL struct {
 	slots  []soaSlot
 	sufMin []int64
+	memo   soaMemo
+	short  int // slots (any key) shorter than memoTol at their end time
+}
+
+// soaMemo is schedule.Timeline's rejected-run memo (see fitMemo there)
+// over a visible subsequence: a scan with visibility vis walked [lo, hi)
+// without finding room, and no free interval there is wider than gap. A
+// scan with a visibility bound >= vis sees the same slots plus some
+// later-keyed ones, which only narrow free intervals, so it may jump as
+// well; one with a lower bound — the start of a new cone update — may
+// not. Removing or moving a slot keyed below vis that overlaps the span
+// drops the memo; slots keyed at or above vis were never part of it. The
+// short-slot rule covers every physical slot, since a later scan may see
+// any of them.
+type soaMemo struct {
+	lo, hi, gap, tol float64
+	vis              int64
+}
+
+// memoTol mirrors schedule's memo margin: a few TimeEps for the tolerant
+// comparisons plus a relative term for float64 rounding at hi.
+func memoTol(hi float64) float64 { return 4*schedule.TimeEps + math.Abs(hi)*0x1p-40 }
+
+func isShortSlot(start, end float64) bool { return end-start < memoTol(end) }
+
+// window returns the candidate starts [from, to) from which a scan for dur
+// with visibility vis may jump to m.hi (empty if none may).
+func (m *soaMemo) window(dur float64, vis int64) (from, to float64) {
+	if vis >= m.vis && dur > m.gap+m.tol {
+		return m.lo, m.hi - m.tol
+	}
+	return math.Inf(1), 0
+}
+
+func (tl *soaTL) noteInsert(start, end float64) {
+	if isShortSlot(start, end) {
+		tl.short++
+		tl.memo = soaMemo{}
+	}
+}
+
+func (tl *soaTL) noteRemove(sl *soaSlot) {
+	if isShortSlot(sl.start, sl.end) {
+		tl.short--
+	}
+	if sl.key < tl.memo.vis && sl.start < tl.memo.hi && sl.end > tl.memo.lo {
+		tl.memo = soaMemo{}
+	}
 }
 
 func (tl *soaTL) len() int { return len(tl.slots) }
@@ -90,9 +138,11 @@ func (tl *soaTL) len() int { return len(tl.slots) }
 func (tl *soaTL) reset() {
 	tl.slots = tl.slots[:0]
 	tl.sufMin = tl.sufMin[:0]
+	tl.memo, tl.short = soaMemo{}, 0
 }
 
 func (tl *soaTL) append(start, end float64, owner, key int64) {
+	tl.noteInsert(start, end)
 	tl.slots = append(tl.slots, soaSlot{start, end, owner, key})
 	tl.sufMin = append(tl.sufMin, key)
 }
@@ -174,7 +224,7 @@ func (tl *soaTL) searchStartAtLeast(t float64) int {
 
 // earliestFit is Timeline.earliestFit restricted to slots with key < vis;
 // bit-identical arithmetic (same epsilon guards, same scan order over the
-// visible subsequence).
+// visible subsequence), and the same rejected-run memo.
 func (tl *soaTL) earliestFit(ready, dur float64, vis int64) float64 {
 	if ready < 0 {
 		ready = 0
@@ -184,26 +234,43 @@ func (tl *soaTL) earliestFit(ready, dur float64, vis int64) float64 {
 	if len(s) == 0 || s[len(s)-1].end <= ready {
 		return ready
 	}
-	start := ready
-	for i := tl.searchEndAbove(ready); i < len(s); i++ {
+	start, lo, gap := ready, ready, math.Inf(-1)
+	from, to := tl.memo.window(dur, vis)
+	if ready >= from && ready < to {
+		start, lo, gap, from = tl.memo.hi, tl.memo.lo, tl.memo.gap, math.Inf(1)
+	}
+	for i := tl.searchEndAbove(start); i < len(s); i++ {
 		if tl.sufMin[i] >= vis {
 			// Every remaining slot is invisible: the item fits at start.
-			return start
+			break
 		}
 		sl := &s[i]
 		if sl.key >= vis {
 			continue
 		}
 		if sl.end <= start+schedule.TimeEps {
+			if start != ready {
+				lo = math.Inf(1) // skipped after a block: record nothing
+			}
 			continue
 		}
 		if start+dur <= sl.start+schedule.TimeEps {
-			return start
+			break
 		}
-		start = sl.end
-		if start < ready {
-			start = ready
+		if g := sl.start - start; g > gap {
+			gap = g
 		}
+		start = sl.end // > start >= ready, as in Timeline's scan
+		if start >= from {
+			if start < to {
+				start, gap = tl.memo.hi, max(gap, tl.memo.gap)
+				i = tl.searchEndAbove(start) - 1
+			}
+			from = math.Inf(1)
+		}
+	}
+	if start > lo && tl.short == 0 {
+		tl.memo = soaMemo{lo: lo, hi: start, gap: gap, tol: memoTol(start), vis: vis}
 	}
 	return start
 }
@@ -257,6 +324,7 @@ func (tl *soaTL) earliestFitExtra(ready, dur float64, extra []schedule.Slot, vis
 
 // removeAt removes the slot at index i.
 func (tl *soaTL) removeAt(i int) {
+	tl.noteRemove(&tl.slots[i])
 	tl.slots = append(tl.slots[:i], tl.slots[i+1:]...)
 	tl.sufMin = append(tl.sufMin[:i], tl.sufMin[i+1:]...)
 	tl.fixSufMin(i)
@@ -264,6 +332,7 @@ func (tl *soaTL) removeAt(i int) {
 
 // insertAt inserts a slot at index i, shifting later slots right.
 func (tl *soaTL) insertAt(i int, start, end float64, owner, key int64) {
+	tl.noteInsert(start, end)
 	tl.slots = append(tl.slots, soaSlot{})
 	copy(tl.slots[i+1:], tl.slots[i:])
 	tl.slots[i] = soaSlot{start, end, owner, key}
@@ -345,6 +414,8 @@ func (tl *soaTL) tryMoveSlot(i int, start, end float64, owner, key int64) bool {
 		}
 		break
 	}
+	tl.noteRemove(&s[i])
+	tl.noteInsert(start, end)
 	if j > i {
 		j--
 		copy(s[i:j], s[i+1:j+1])
@@ -719,7 +790,12 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 	hopsChanged := !hopsEqual(hops, sm.Hops)
 	if hopsChanged {
 		en.msgPlaces++
-		sameRoute := len(hops) == len(sm.Hops)
+		// Hop-by-hop re-placement needs a simple path: on a route that
+		// revisits a link (the no-route-pruning ablation), an earlier new
+		// hop can overlap a later old hop of the same message, which is
+		// still in place and keyed like the hop itself, so it could not be
+		// evicted. The general path below removes every old hop first.
+		sameRoute := en.cfg.pruneRoutes && len(hops) == len(sm.Hops)
 		if sameRoute {
 			for h := range hops {
 				if hops[h].Link != sm.Hops[h].Link {

@@ -39,48 +39,85 @@ func fuzzNetwork(t *testing.T, rng *rand.Rand, topo uint8, m int) *system.Networ
 	return nw
 }
 
+// fuzzAblation decodes the low four bits of a fuzz byte into ablation
+// options: VIP following, route pruning and the migration guard off, and
+// a single sweep.
+func fuzzAblation(b uint8) Options {
+	opt := Options{
+		DisableVIPFollow:      b&1 != 0,
+		DisableRoutePruning:   b&2 != 0,
+		DisableMigrationGuard: b&4 != 0,
+	}
+	if b&8 != 0 {
+		opt.MaxSweeps = 1
+	}
+	return opt
+}
+
 // FuzzBSA is the scheduler's differential fuzz target. The arguments
 // decode to one instance: a seeded random DAG of up to 40 tasks on a
 // 2–8 processor network of one topology family, with or without
-// heterogeneity. Both backends must match the full-rebuild oracle in
+// heterogeneity, under one combination of ablation options (the oracle
+// gets the same). Both backends must match the full-rebuild oracle in
 // schedule bytes and migration trace, every schedule must validate, and
 // its replay in internal/sim must be no longer than its static length.
+// DisableRoutePruning matters most: it is the path where SoA's cone
+// update runs the extra-slot merge scan on link-revisiting routes, next
+// to memoized fit scans on the other links.
 //
 //	go test ./internal/core -run '^$' -fuzz '^FuzzBSA$' -fuzztime 10m
 func FuzzBSA(f *testing.F) {
 	for topo := uint8(0); topo < fuzzTopologies; topo++ {
-		f.Add(int64(topo), uint8(24), uint8(6), topo, topo%2 == 0)
-		f.Add(int64(100+topo), uint8(39), uint8(2), topo, topo%2 == 1)
+		f.Add(int64(topo), uint8(24), uint8(6), topo, topo%2 == 0, uint8(0))
+		f.Add(int64(100+topo), uint8(39), uint8(2), topo, topo%2 == 1, uint8(1+3*topo))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, topo uint8, hetero bool) {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomConnectedDAG(rng, 1+int(nRaw)%40, 0.15)
-		nw := fuzzNetwork(t, rng, topo, 2+int(mRaw)%7)
-		sys := system.NewUniform(nw, g.NumTasks(), g.NumEdges())
-		if hetero {
-			var err error
-			if sys, err = system.NewRandom(nw, g.NumTasks(), g.NumEdges(), 1, 25, rng); err != nil {
-				t.Fatal(err)
-			}
+	f.Fuzz(checkFuzzBSA)
+}
+
+// TestFuzzBSARevisitedLink pins FuzzBSA's first finding under the
+// ablation axis: with route pruning off, the SoA backend re-placed a
+// message whose route revisits a link hop by hop, so an earlier new hop
+// could overlap a later old hop of the same message — still in place,
+// keyed like the hop itself — and the eviction check panicked on it.
+func TestFuzzBSARevisitedLink(t *testing.T) {
+	checkFuzzBSA(t, -47, 24, 6, 3, false, 39)
+}
+
+// checkFuzzBSA is FuzzBSA's property for one decoded instance.
+func checkFuzzBSA(t *testing.T, seed int64, nRaw, mRaw, topo uint8, hetero bool, ablation uint8) {
+	rng := rand.New(rand.NewSource(seed))
+	g := randomConnectedDAG(rng, 1+int(nRaw)%40, 0.15)
+	nw := fuzzNetwork(t, rng, topo, 2+int(mRaw)%7)
+	sys := system.NewUniform(nw, g.NumTasks(), g.NumEdges())
+	if hetero {
+		var err error
+		if sys, err = system.NewRandom(nw, g.NumTasks(), g.NumEdges(), 1, 25, rng); err != nil {
+			t.Fatal(err)
 		}
-		label := fmt.Sprintf("seed=%d n=%d m=%d topo=%d hetero=%v",
-			seed, g.NumTasks(), nw.NumProcs(), topo%fuzzTopologies, hetero)
-		oracle, err := Schedule(g, sys, Options{Seed: seed, UseFullRebuild: true, RecordTrace: true})
+	}
+	opt := fuzzAblation(ablation)
+	opt.Seed, opt.RecordTrace = seed, true
+	label := fmt.Sprintf("seed=%d n=%d m=%d topo=%d hetero=%v ablation=%+v",
+		seed, g.NumTasks(), nw.NumProcs(), topo%fuzzTopologies, hetero, fuzzAblation(ablation))
+	oracleOpt := opt
+	oracleOpt.UseFullRebuild = true
+	oracle, err := Schedule(g, sys, oracleOpt)
+	if err != nil {
+		t.Fatalf("%s oracle: %v", label, err)
+	}
+	assertFeasible(t, label+" oracle", oracle)
+	for _, be := range conformanceBackends {
+		l := label + " backend=" + be
+		beOpt := opt
+		beOpt.backend = be
+		r, err := Schedule(g, sys, beOpt)
 		if err != nil {
-			t.Fatalf("%s oracle: %v", label, err)
+			t.Fatalf("%s: %v", l, err)
 		}
-		assertFeasible(t, label+" oracle", oracle)
-		for _, be := range conformanceBackends {
-			l := label + " backend=" + be
-			r, err := Schedule(g, sys, Options{Seed: seed, backend: be, RecordTrace: true})
-			if err != nil {
-				t.Fatalf("%s: %v", l, err)
-			}
-			assertSerializedIdentical(t, l, oracle, r)
-			assertTracesIdentical(t, l, oracle, r)
-			assertFeasible(t, l, r)
-		}
-	})
+		assertSerializedIdentical(t, l, oracle, r)
+		assertTracesIdentical(t, l, oracle, r)
+		assertFeasible(t, l, r)
+	}
 }
 
 // assertFeasible fails unless r's schedule validates and its simulated

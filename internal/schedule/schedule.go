@@ -296,10 +296,10 @@ func (s *Schedule) Clone() *Schedule {
 		}
 	}
 	for i := range s.procTL {
-		c.procTL[i].slots = append([]Slot(nil), s.procTL[i].slots...)
+		c.procTL[i] = s.procTL[i].clone()
 	}
 	for i := range s.linkTL {
-		c.linkTL[i].slots = append([]Slot(nil), s.linkTL[i].slots...)
+		c.linkTL[i] = s.linkTL[i].clone()
 	}
 	return c
 }

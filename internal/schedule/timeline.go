@@ -7,6 +7,7 @@ package schedule
 
 import (
 	"fmt"
+	"math"
 )
 
 // Slot is an exclusive reservation [Start, End) on a resource, tagged with
@@ -19,9 +20,78 @@ type Slot struct {
 }
 
 // Timeline is an ordered set of non-overlapping slots on one resource. The
-// zero value is an empty timeline.
+// zero value is an empty timeline. Fit queries update the timeline's
+// rejected-run memo, so a Timeline is not safe for concurrent use, not
+// even for concurrent fits; every scheduler owns its Schedule.
 type Timeline struct {
 	slots []Slot // sorted by Start
+	memo  fitMemo
+	short int // slots shorter than memoTol at their end time
+}
+
+// fitMemo is a rejected-run memo: an earlier fit scan walked the span
+// [lo, hi) without finding room, hi being the start it returned, and no
+// free interval inside the span is wider than gap. On a packed timeline
+// every scan that starts in or walks into a busy run would re-walk it to
+// the same exit; a scan for dur > gap+tol whose candidate start lies in
+// [lo, hi-tol) instead jumps straight to hi and resumes the ordinary scan
+// there, with the same result bit for bit (FuzzTimelineFit checks this
+// against a memo-free scan):
+//
+//   - Such a scan rejects every gap in the span and blocks on every slot
+//     there, so from its first block on it walks in step with the
+//     recorded scan and leaves the span at exactly hi. tol covers the
+//     epsilon-tolerant comparisons (a scan may trail the recorded one by
+//     up to timeEps) and float64 rounding at the span's magnitude.
+//   - That needs every slot to be at least tol long: a shorter one can be
+//     skipped under the epsilon tolerance and let a scan fall out of step
+//     just below hi. Inserting a short slot drops the memo, and none is
+//     recorded while the timeline holds one.
+//   - Insertions otherwise only narrow free intervals, so the memo
+//     survives them; removing a slot that overlaps the span (Reset,
+//     FilterOwners, RemoveOwner, AdoptSlots) drops it.
+//
+// Each scan that blocks on at least one slot replaces the memo with its
+// own span, which includes the memo's when the scan jumped. The zero
+// value is empty.
+type fitMemo struct {
+	lo, hi, gap, tol float64
+}
+
+// memoTol is the margin of a memo ending at hi: a few timeEps for the
+// tolerant comparisons, plus a relative term for float64 rounding, which
+// takes over once timeEps falls below the resolution of hi.
+func memoTol(hi float64) float64 { return 4*timeEps + math.Abs(hi)*0x1p-40 }
+
+// isShort reports whether a slot is too short for the memo's argument.
+func isShort(s Slot) bool { return s.End-s.Start < memoTol(s.End) }
+
+// window returns the candidate starts [from, to) from which a scan for dur
+// may jump to m.hi; it is empty when some gap in the span may fit dur.
+func (m *fitMemo) window(dur float64) (from, to float64) {
+	if dur > m.gap+m.tol {
+		return m.lo, m.hi - m.tol
+	}
+	return math.Inf(1), 0
+}
+
+// noteInsert accounts for a new slot.
+func (tl *Timeline) noteInsert(s Slot) {
+	if isShort(s) {
+		tl.short++
+		tl.memo = fitMemo{}
+	}
+}
+
+// noteRemove accounts for a removed slot, dropping the memo when the
+// interval it frees lies in the span.
+func (tl *Timeline) noteRemove(s Slot) {
+	if isShort(s) {
+		tl.short--
+	}
+	if s.Start < tl.memo.hi && s.End > tl.memo.lo {
+		tl.memo = fitMemo{}
+	}
 }
 
 // timeEps absorbs floating-point noise when comparing slot boundaries.
@@ -65,6 +135,7 @@ func (tl *Timeline) searchStartAtLeast(t float64) int {
 
 // insertAt inserts s at index idx, shifting later slots right.
 func (tl *Timeline) insertAt(idx int, s Slot) {
+	tl.noteInsert(s)
 	tl.slots = append(tl.slots, Slot{})
 	copy(tl.slots[idx+1:], tl.slots[idx:])
 	tl.slots[idx] = s
@@ -85,8 +156,16 @@ func (tl *Timeline) End() float64 {
 	return tl.slots[len(tl.slots)-1].End
 }
 
+// clone returns an independent copy of the slots; the memo starts empty.
+func (tl *Timeline) clone() Timeline {
+	return Timeline{slots: append([]Slot(nil), tl.slots...), short: tl.short}
+}
+
 // Reset removes all slots, retaining capacity.
-func (tl *Timeline) Reset() { tl.slots = tl.slots[:0] }
+func (tl *Timeline) Reset() {
+	tl.slots = tl.slots[:0]
+	tl.memo, tl.short = fitMemo{}, 0
+}
 
 // EarliestFit returns the earliest start >= ready at which a slot of the
 // given duration fits without overlapping existing reservations
@@ -102,27 +181,50 @@ func (tl *Timeline) EarliestFit(ready, dur float64) float64 {
 // earliestFit is EarliestFit plus the insertion index a reservation at the
 // returned start would occupy, so ReserveEarliest needs no second search.
 func (tl *Timeline) earliestFit(ready, dur float64) (float64, int) {
-	start := ready
+	start, lo, gap := ready, ready, math.Inf(-1)
+	from, to := tl.memo.window(dur)
+	if ready >= from && ready < to {
+		start, lo, gap, from = tl.memo.hi, tl.memo.lo, tl.memo.gap, math.Inf(1)
+	}
 	// Slots are non-overlapping and start-sorted, so their end times are
 	// monotone: binary-search past everything ending before the candidate
 	// start instead of scanning it. Late placements — the common case in
 	// suffix rebuilds, whose timelines already hold the whole prefix —
 	// skip nearly the entire timeline.
-	lo := tl.searchEndAbove(ready)
-	for i := lo; i < len(tl.slots); i++ {
-		s := tl.slots[i]
+	slots := tl.slots
+	i := tl.searchEndAbove(start)
+	for ; i < len(slots); i++ {
+		s := &slots[i]
 		if s.End <= start+timeEps {
+			if start != ready {
+				// Skipped after a block, which only overlapping slots
+				// allow: record nothing.
+				lo = math.Inf(1)
+			}
 			continue // slot entirely before the candidate start
 		}
 		if start+dur <= s.Start+timeEps {
-			return start, i // fits in the gap before this slot
+			break // fits in the gap before this slot
 		}
+		if g := s.Start - start; g > gap {
+			gap = g
+		}
+		// s.End > start >= ready: the memo-free scan's clamp to ready
+		// never fires.
 		start = s.End
-		if start < ready {
-			start = ready
+		if start >= from {
+			// Walked into the memo's span: jump across it, once.
+			if start < to {
+				start, gap = tl.memo.hi, max(gap, tl.memo.gap)
+				i = tl.searchEndAbove(start) - 1
+			}
+			from = math.Inf(1)
 		}
 	}
-	return start, len(tl.slots)
+	if start > lo && tl.short == 0 {
+		tl.memo = fitMemo{lo: lo, hi: start, gap: gap, tol: memoTol(start)}
+	}
+	return start, i
 }
 
 // EarliestFitWithExtra behaves like EarliestFit but also avoids the given
@@ -209,6 +311,7 @@ func (tl *Timeline) FilterOwners(keep func(owner int64) bool, onRemove func(owne
 			continue
 		}
 		removed++
+		tl.noteRemove(s)
 		if onRemove != nil {
 			onRemove(s.Owner)
 		}
@@ -239,6 +342,12 @@ func (tl *Timeline) ReserveEarliest(ready, dur float64, owner int64) float64 {
 // validation and rendering.
 func (tl *Timeline) AdoptSlots(slots []Slot) {
 	tl.slots = append(tl.slots[:0], slots...)
+	tl.memo, tl.short = fitMemo{}, 0
+	for _, s := range slots {
+		if isShort(s) {
+			tl.short++
+		}
+	}
 }
 
 // RemoveOwner removes all slots with the given owner and reports how many
@@ -249,6 +358,7 @@ func (tl *Timeline) RemoveOwner(owner int64) int {
 	for _, s := range tl.slots {
 		if s.Owner == owner {
 			removed++
+			tl.noteRemove(s)
 			continue
 		}
 		out = append(out, s)
