@@ -7,7 +7,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-smoke bench-gate bench-verify benchcmp examples apiseal fuzz service-test cluster-test chaos-test schedload-smoke bench-schedd profile atlas
+.PHONY: build test race vet fmt-check bench bench-smoke bench-gate bench-verify benchcmp examples apiseal fuzz service-test cluster-test chaos-test schedload-smoke bench-schedd profile atlas perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,18 @@ bench-gate:
 bench-verify:
 	$(GO) run ./cmd/benchjson -verify BENCH_core.json
 
+# perfbench-smoke runs the end-to-end benchmark's own checks. perfbench is
+# a separate Go module, so `go test ./...` never builds it: this runs its
+# tests, then each workload for one timed second with per-layer tracing,
+# which exercises its correctness gate (every schedule validated, nsl
+# checked) and its engine-stats keys. Any non-zero exit fails the target.
+PERFBENCH_WORKLOADS ?= bsa-dense bsa-sparse schedd-mixed
+perfbench-smoke:
+	cd perfbench && $(GO) test -count 1 .
+	for w in $(PERFBENCH_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seconds 1 --trace 1 >/dev/null || exit 1; \
+	done
+
 # apiseal runs the API-leak regression gate (no internal types in the
 # public packages' exported signatures) and the standalone external
 # consumer module build.
@@ -70,7 +82,8 @@ apiseal:
 # fuzz runs each fuzz target for FUZZTIME (the CI smoke uses 20s; raise it
 # locally for a real hunt): the seven loader targets, FuzzBSA, the
 # scheduler's differential target (both backends against the full-rebuild
-# oracle on generated instances and ablation options), and
+# oracle on generated instances, ablation options and a tie-heavy cost
+# mode), and
 # FuzzTimelineFit and FuzzSoaFit, which check the memoized earliest-fit
 # scans of both slot layouts against a memo-free scan. Go runs one -fuzz
 # target per invocation, hence the ten lines. Seed corpora are committed

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestEvalMigrationAllocFree(t *testing.T) {
 		for _, p := range bfs {
 			nbrs := sys.Net.Neighbors(p)
 			for _, tk := range en.tasksOn(p) {
-				en.evalRow(tk, nbrs, row, nil)
+				en.evalRow(tk, nbrs, row, nil, math.Inf(1))
 			}
 		}
 	}

@@ -342,6 +342,23 @@ func (tl *soaTL) insertAt(i int, start, end float64, owner, key int64) {
 	tl.fixSufMin(i)
 }
 
+// afterEarlierPoints moves insertion index idx of a zero-length slot
+// [start, end] keyed key past the zero-length slots at the same start
+// that a rebuild would place before it: those keyed at or below key. A
+// rebuild appends each zero-length slot after those already at its
+// start, and the service order that replays a schedule follows the
+// timeline order, so same-instant slots must keep placement order.
+func (tl *soaTL) afterEarlierPoints(idx int, start, end float64, key int64) int {
+	if end > start+schedule.TimeEps {
+		return idx
+	}
+	s := tl.slots
+	for idx < len(s) && s[idx].start == start && s[idx].end <= start+schedule.TimeEps && s[idx].key <= key {
+		idx++
+	}
+	return idx
+}
+
 // findOwner locates the slot starting at exactly start with the given
 // owner, or -1 if absent (an insertion may have evicted it already).
 // Starts are stored verbatim, so exact comparison finds it; equal starts
@@ -374,6 +391,11 @@ func (tl *soaTL) removeOwner(start float64, owner int64) bool {
 // takes the general remove+insertEvict path. On success the array is
 // exactly removeAt(i) followed by insertAt at the fit position.
 func (tl *soaTL) tryMoveSlot(i int, start, end float64, owner, key int64) bool {
+	if end <= start+schedule.TimeEps {
+		// Zero-length slots are ordered among their peers by key; the
+		// general path does that (see afterEarlierPoints).
+		return false
+	}
 	s := tl.slots
 	// The new position is usually within a few slots of the old one: find
 	// the insertion point by walking from i rather than a fresh search
@@ -715,7 +737,7 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 				// slots are disjoint, so no visible slot was ever removed
 				// from inside the hop's own occupied span — only a removal
 				// opening a gap strictly before it can move the fit.
-				if !b.linkClean(hop.Link, ready, hop.Start, vis) {
+				if !b.linkClean(hop.Link, ready, hop.Start, hop.End, vis) {
 					dirty = true
 					break
 				}
@@ -888,7 +910,7 @@ func (b *soaBackend) processTask(u graph.TaskID) {
 	// task whose data-ready time is unchanged re-derives identically
 	// unless its processor's content changed inside the fit's window.
 	if u != en.migTask && b.taskEvict[u] != en.epoch &&
-		drt == b.taskDrt[u] && b.procClean(en.assign[u], drt, st.Start, vis) {
+		drt == b.taskDrt[u] && b.procClean(en.assign[u], drt, st.Start, st.End, vis) {
 		en.taskDone[u] = en.epoch
 		return
 	}
@@ -1038,9 +1060,11 @@ func (b *soaBackend) noteProcMut(p system.ProcID, start, end, covS, covE float64
 		b.procIvKey[p] = b.procIvKey[p][:0]
 	}
 	freedLo := math.Inf(1)
-	if e1 := math.Min(end, covS); e1 > start {
+	if e1 := math.Min(end, covS); e1 > start || end == start {
+		// A zero-length slot still blocks every fit that straddles it,
+		// so its removal frees its point.
 		b.procIvLo[p], b.procIvHi[p], b.procIvKey[p] =
-			addIv(b.procIvLo[p], b.procIvHi[p], b.procIvKey[p], start, e1, k)
+			addIv(b.procIvLo[p], b.procIvHi[p], b.procIvKey[p], start, math.Max(e1, start), k)
 		freedLo = start
 	}
 	if s2 := math.Max(start, covE); end > s2 && covE > covS {
@@ -1088,9 +1112,9 @@ func (b *soaBackend) noteLinkMut(l system.LinkID, start, end, covS, covE float64
 		b.linkIvKey[l] = b.linkIvKey[l][:0]
 	}
 	freedLo := math.Inf(1)
-	if e1 := math.Min(end, covS); e1 > start {
+	if e1 := math.Min(end, covS); e1 > start || end == start {
 		b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l] =
-			addIv(b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l], start, e1, k)
+			addIv(b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l], start, math.Max(e1, start), k)
 		freedLo = start
 	}
 	if s2 := math.Max(start, covE); end > s2 && covE > covS {
@@ -1123,34 +1147,43 @@ func (b *soaBackend) noteLinkMut(l system.LinkID, start, end, covS, covE float64
 }
 
 // procClean reports whether p's content changes this epoch provably
-// cannot move a fit with visibility vis over the window [ready, oldEnd):
-// no slot the checker could see was removed there (the epsilon slack
-// mirrors the fit's own overlap tolerance). Removals of slots keyed at
-// or above vis never change the checker's view — those slots were
-// invisible to it to begin with — and the per-timeline divergence flag
-// is deliberately not consulted: an epoch of pure insertions leaves
-// every unchanged-input fit intact.
-func (b *soaBackend) procClean(p system.ProcID, ready, oldEnd float64, vis int64) bool {
+// cannot move a fit with visibility vis whose last placement was
+// [oldStart, oldEnd): no slot the checker could see was removed from the
+// span its earlier candidates were rejected over (see ivsClean). Removals
+// of slots keyed at or above vis never change the checker's view — those
+// slots were invisible to it to begin with — and the per-timeline
+// divergence flag is deliberately not consulted: an epoch of pure
+// insertions leaves every unchanged-input fit intact.
+func (b *soaBackend) procClean(p system.ProcID, ready, oldStart, oldEnd float64, vis int64) bool {
 	if b.procDivStamp[p] != b.en.epoch {
 		return true
 	}
-	lo, hi, key := b.procIvLo[p], b.procIvHi[p], b.procIvKey[p]
-	for i := range lo {
-		if key[i] < vis && hi[i] > ready+schedule.TimeEps && lo[i] < oldEnd-schedule.TimeEps {
-			return false
-		}
-	}
-	return true
+	return ivsClean(b.procIvLo[p], b.procIvHi[p], b.procIvKey[p], ready, oldStart, oldEnd, vis)
 }
 
 // linkClean is procClean for a link timeline.
-func (b *soaBackend) linkClean(l system.LinkID, ready, oldEnd float64, vis int64) bool {
+func (b *soaBackend) linkClean(l system.LinkID, ready, oldStart, oldEnd float64, vis int64) bool {
 	if b.linkDivStamp[l] != b.en.epoch {
 		return true
 	}
-	lo, hi, key := b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l]
+	return ivsClean(b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l], ready, oldStart, oldEnd, vis)
+}
+
+// ivsClean is the window test of procClean and linkClean over one
+// resource's removal intervals. A fit of duration dur at candidate c is
+// blocked by a slot [a, b) iff b > c+eps and c+dur > a+eps (eps is the
+// fit's overlap tolerance), so a removal can only have blocked a
+// candidate in [ready, oldStart) if it reaches past ready+eps and starts
+// before oldStart. A zero-length slot at oldStart still counts: it blocks
+// every earlier candidate that straddles it without overlapping the
+// placement. A fit shorter than 2·eps is blocked by slots that end
+// within eps of its candidate, so its window also opens that much
+// earlier: a zero-length fit at c is blocked by [a, b) with c strictly
+// inside, and no longer by a replacement that starts at c.
+func ivsClean(lo, hi []float64, key []int64, ready, oldStart, oldEnd float64, vis int64) bool {
+	from := ready + math.Min(oldEnd-oldStart, 2*schedule.TimeEps) - schedule.TimeEps
 	for i := range lo {
-		if key[i] < vis && hi[i] > ready+schedule.TimeEps && lo[i] < oldEnd-schedule.TimeEps {
+		if key[i] < vis && hi[i] >= from && lo[i] <= oldStart+schedule.TimeEps {
 			return false
 		}
 	}
@@ -1194,13 +1227,20 @@ func (b *soaBackend) insertEvictProc(p system.ProcID, start, end float64, owner,
 	}
 	for idx < tl.len() && tl.slots[idx].start < end-schedule.TimeEps {
 		sl := tl.slots[idx]
+		if sl.end <= start+schedule.TimeEps {
+			// A zero-length slot at start: the fit passes over it, so it
+			// stays, in front of the new slot.
+			idx++
+			continue
+		}
 		b.checkEvict(&sl, vis)
 		b.taskEvict[sl.owner] = b.en.epoch
 		b.en.queueTask(graph.TaskID(sl.owner))
 		b.noteProcMut(p, sl.start, sl.end, start, end, sl.key, vis)
 		tl.removeAt(idx)
 	}
-	tl.insertAt(idx, start, end, owner, b.taskKey[owner])
+	key := b.taskKey[owner]
+	tl.insertAt(tl.afterEarlierPoints(idx, start, end, key), start, end, owner, key)
 }
 
 // insertEvictLink is insertEvictProc for a message hop.
@@ -1218,13 +1258,18 @@ func (b *soaBackend) insertEvictLink(l system.LinkID, start, end float64, owner,
 	}
 	for idx < tl.len() && tl.slots[idx].start < end-schedule.TimeEps {
 		sl := tl.slots[idx]
+		if sl.end <= start+schedule.TimeEps {
+			idx++ // a zero-length slot at start, as in insertEvictProc
+			continue
+		}
 		b.checkEvict(&sl, vis)
 		b.msgEvict[schedule.MsgOwnerEdge(sl.owner)] = b.en.epoch
 		b.en.queueMsg(schedule.MsgOwnerEdge(sl.owner))
 		b.noteLinkMut(l, sl.start, sl.end, start, end, sl.key, vis)
 		tl.removeAt(idx)
 	}
-	tl.insertAt(idx, start, end, owner, b.msgKey[schedule.MsgOwnerEdge(owner)])
+	key := b.msgKey[schedule.MsgOwnerEdge(owner)]
+	tl.insertAt(tl.afterEarlierPoints(idx, start, end, key), start, end, owner, key)
 }
 
 func (b *soaBackend) checkEvict(sl *soaSlot, vis int64) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/schedule"
@@ -113,11 +114,14 @@ type Result struct {
 	Partition Partition
 
 	// Migrations counts committed task migrations; Evaluations counts
-	// tentative finish-time computations on neighbour processors; Sweeps
+	// candidate entries settled, by a full evaluation or by the bound,
+	// and BoundSkips those the bound alone settled (always zero on the
+	// full-rebuild oracle, which evaluates every entry in full); Sweeps
 	// counts breadth-first pivot passes (the last one is always
 	// migration-free).
 	Migrations  int
 	Evaluations int
+	BoundSkips  int
 	Sweeps      int
 	// Rebuilds counts timeline (re)derivations and Placements the task
 	// placements they performed; the incremental engine's cone updates
@@ -255,6 +259,7 @@ func converge(ctx context.Context, en *engine, root system.ProcID, ds *dirtySet,
 	res.RestoredBest = en.restoreBest()
 
 	res.Evaluations = en.evaluations
+	res.BoundSkips = en.boundSkips
 	res.Rebuilds = en.rebuilds
 	res.Placements = en.placements
 	res.MsgPlacements = en.msgPlaces
@@ -321,25 +326,11 @@ func (en *engine) step(t graph.TaskID, pivot system.ProcID, neighbors []system.A
 			en.rowBuf = make([]float64, len(neighbors))
 		}
 		row := en.rowBuf[:len(neighbors)]
-		en.evalRow(t, neighbors, row, nil)
+		en.evalRow(t, neighbors, row, nil, math.Inf(1))
 		bestFT, bestY, vipFT, vipY = en.reduceRow(t, neighbors, row)
 	}
-	curFT := en.s.Tasks[t].End
-	var y system.ProcID
-	switch {
-	case bestY >= 0 && bestFT < curFT-cmpEps:
-		// Strict improvement: bubble up.
-		y = bestY
-	case !opt.DisableVIPFollow && vipY >= 0 && vipFT <= curFT*(1+vipSlack)+cmpEps:
-		// No neighbour strictly improves the finish time, but the VIP
-		// lives on one: follow it ("if the finish time does not improve,
-		// a task will also migrate if its VIP is scheduled to that
-		// neighbor"). Colocating with the VIP removes the message's link
-		// crossing, relieving the saturated links around the pivot and
-		// letting this task's successors improve later; the migration
-		// guard still reverts moves that regress the overall schedule.
-		y = vipY
-	default:
+	y := migrationTarget(en.s.Tasks[t].End, bestFT, bestY, vipFT, vipY, !opt.DisableVIPFollow)
+	if y < 0 {
 		return false
 	}
 	kept := en.commitMigration(t, y, !opt.DisableMigrationGuard)
@@ -352,4 +343,42 @@ func (en *engine) step(t graph.TaskID, pivot system.ProcID, neighbors []system.A
 		res.Reverted++
 	}
 	return kept
+}
+
+// migrationTarget is step's decision from a reduced candidate row: the
+// neighbour to migrate to for a task now finishing at curFT, or -1 to
+// stay.
+func migrationTarget(curFT, bestFT float64, bestY system.ProcID, vipFT float64, vipY system.ProcID, followVIP bool) system.ProcID {
+	switch {
+	case bestY >= 0 && bestFT < curFT-cmpEps:
+		// Strict improvement: bubble up.
+		return bestY
+	case followVIP && vipY >= 0 && vipFT <= curFT*(1+vipSlack)+cmpEps:
+		// No neighbour strictly improves the finish time, but the VIP
+		// lives on one: follow it ("if the finish time does not improve,
+		// a task will also migrate if its VIP is scheduled to that
+		// neighbor"). Colocating with the VIP removes the message's link
+		// crossing, relieving the saturated links around the pivot and
+		// letting this task's successors improve later; the migration
+		// guard still reverts moves that regress the overall schedule.
+		return vipY
+	}
+	return -1
+}
+
+// settleLine is the finish time from which a candidate entry of a task
+// now finishing at curFT, in a row of n entries, can no longer change
+// migrationTarget's decision; evalRow settles an entry whose lower bound
+// reaches it as +Inf without a fit. The line lies above the VIP rule's
+// acceptance line, so a settled entry is never the VIP target. It also
+// lies n+1 cmpEps steps above the strict-improvement line. rowScan keeps
+// the first of several entries within cmpEps of each other, so settling
+// an entry can change which entry the scan keeps next, and that the one
+// after; each link of such a chain is at most cmpEps lower than the last
+// and a row has fewer than n links, so the chain ends above the
+// strict-improvement line and the decision stands. A line at curFT is not
+// enough (see TestSettleLineKeepsDecision). The relative term covers
+// float64 rounding where cmpEps is below an ulp.
+func settleLine(curFT float64, n int) float64 {
+	return curFT*(1+vipSlack) + float64(n+1)*(cmpEps+math.Abs(curFT)*0x1p-50)
 }

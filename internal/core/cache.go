@@ -169,17 +169,26 @@ func (en *engine) ensureRow(t graph.TaskID, pivot system.ProcID, neighbors []sys
 		c.partial++
 	}
 	row := c.rowFT[t]
-	en.evalRow(t, neighbors, row, stale)
+	en.evalRow(t, neighbors, row, stale, settleLine(en.s.Tasks[t].End, len(neighbors)))
 	c.bestFT[t], c.bestY[t], c.vipFT[t], c.vipY[t] = en.reduceRow(t, neighbors, row)
 	c.rowStamp[t] = c.commitC
 	c.rowProc[t] = pivot
 }
 
 // reduceRow folds one row of candidate finish times into the migration
-// decision's aggregates: the strictly-best neighbour (first wins ties, as
-// in BFS adjacency order) and the neighbour hosting t's VIP, if any.
+// decision's aggregates (see rowScan), with the neighbour hosting t's VIP.
 func (en *engine) reduceRow(t graph.TaskID, neighbors []system.Adj, row []float64) (bestFT float64, bestY system.ProcID, vipFT float64, vipY system.ProcID) {
-	_, vip := en.s.DRT(t)
+	vipProc := system.ProcID(-1)
+	if _, vip := en.s.DRT(t); vip >= 0 {
+		vipProc = en.assign[vip]
+	}
+	return rowScan(neighbors, row, vipProc)
+}
+
+// rowScan reduces a candidate row to the strictly-best neighbour (first
+// wins ties within cmpEps, as in BFS adjacency order) and the entry of
+// neighbour vipProc, if any.
+func rowScan(neighbors []system.Adj, row []float64, vipProc system.ProcID) (bestFT float64, bestY system.ProcID, vipFT float64, vipY system.ProcID) {
 	bestFT = math.Inf(1)
 	bestY, vipY = -1, -1
 	for ni, a := range neighbors {
@@ -187,7 +196,7 @@ func (en *engine) reduceRow(t graph.TaskID, neighbors []system.Adj, row []float6
 		if ft < bestFT-cmpEps {
 			bestFT, bestY = ft, a.Proc
 		}
-		if vip >= 0 && en.assign[vip] == a.Proc {
+		if a.Proc == vipProc {
 			vipFT, vipY = ft, a.Proc
 		}
 	}

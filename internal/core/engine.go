@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/schedule"
@@ -135,7 +136,8 @@ type engine struct {
 	rebuilds    int
 	placements  int // task placements performed across all (re)builds
 	msgPlaces   int // message placements performed across all (re)builds
-	evaluations int
+	evaluations int // candidate entries settled, by a fit or by the bound
+	boundSkips  int // candidate entries settled by the bound alone
 }
 
 // routeSave is one saved incident-edge route: an (offset, length) view
@@ -507,18 +509,22 @@ type inEdgeEval struct {
 	cost     float64
 	commRow  []float64 // sys.Comm[e]; nil for homogeneous links
 	hops     []schedule.Hop
+	// arr is the message's arrival on the neighbour under evaluation when
+	// it needs no link fit, or -1 when it does (see drtBound).
+	arr float64
 }
 
-// evalRow writes into row[i] the finish time task t would obtain on
-// neighbors[i], its current processor's neighbour, for every i whose
-// stale[i] is set (every i when stale is nil). It is the paper's local
-// evaluation: each incoming message keeps its current hop schedule up to
-// the point where it must be extended (or truncated) to reach the
-// neighbour, and the new hop takes the earliest insertion slot on the
-// connecting link. t's in-edges are gathered once per call however many
-// entries are stale, so the cache's partial refresh and the oracle's full
-// row share this one routine.
-func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64, stale []bool) {
+// hopDur is the message's transfer time over link.
+func (in *inEdgeEval) hopDur(link system.LinkID) float64 {
+	if in.commRow != nil {
+		return in.commRow[link] * in.cost
+	}
+	return in.cost
+}
+
+// gatherIns collects t's in-edges for evalRow into the engine's reused
+// buffer.
+func (en *engine) gatherIns(t graph.TaskID) []inEdgeEval {
 	ins := en.inEvals[:0]
 	for _, e := range en.g.In(t) {
 		edge := en.g.Edge(e)
@@ -537,6 +543,62 @@ func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64,
 		})
 	}
 	en.inEvals = ins
+	return ins
+}
+
+// drtBound sets each in-edge's arr for neighbour y, reached over link, and
+// returns a lower bound on the task's data-ready time there. A message
+// from a task on y becomes intra-processor (it arrives when the sender
+// ends) and a route already passing through y is truncated there (it
+// arrives when that hop ends): both arrivals are exact. Any other message
+// is extended by one hop over link, whose earliest fit starts no earlier
+// than the message's current arrival, so ready + hop duration bounds its
+// arrival from below.
+func drtBound(ins []inEdgeEval, y system.ProcID, link system.LinkID) float64 {
+	var drt float64
+	for i := range ins {
+		in := &ins[i]
+		in.arr = -1
+		if in.fromProc == y {
+			in.arr = in.fromEnd
+		} else {
+			for h := range in.hops {
+				if in.hops[h].To == y {
+					in.arr = in.hops[h].End
+					break
+				}
+			}
+		}
+		b := in.arr
+		if b < 0 {
+			b = in.ready + in.hopDur(link)
+		}
+		if b > drt {
+			drt = b
+		}
+	}
+	return drt
+}
+
+// evalRow writes into row[i] the finish time task t would obtain on
+// neighbors[i], its current processor's neighbour, for every i whose
+// stale[i] is set (every i when stale is nil). It is the paper's local
+// evaluation: each incoming message keeps its current hop schedule up to
+// the point where it must be extended (or truncated) to reach the
+// neighbour, and the new hop takes the earliest insertion slot on the
+// connecting link. t's in-edges are gathered once per call however many
+// entries are stale, so the cache's partial refresh and the oracle's full
+// row share this one routine.
+//
+// Each entry is bounded before any fit: drtBound plus the execution time
+// on the neighbour. Every fit starts at or after its ready time and
+// float64 rounding is monotone, so the bound never exceeds the finish
+// time a fit would return. An entry whose bound reaches settle is stored
+// as +Inf without a fit; settleLine places settle where such an entry
+// cannot change step's decision, and the oracle passes +Inf to evaluate
+// every entry. Both kinds of entry count as evaluations.
+func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64, stale []bool, settle float64) {
+	ins := en.gatherIns(t)
 	sc := en.sc
 	taskCost := en.g.Task(t).Cost
 	execRow := en.sys.Exec[t]
@@ -544,43 +606,31 @@ func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64,
 		if stale != nil && !stale[ni] {
 			continue
 		}
+		en.evaluations++
 		y, link := a.Proc, a.Link
+		dur := execRow[y] * taskCost
+		if drtBound(ins, y, link)+dur >= settle {
+			row[ni] = math.Inf(1)
+			en.boundSkips++
+			continue
+		}
 		sc.reset()
 		var drt float64
 		for i := range ins {
 			in := &ins[i]
-			var arr float64
-			if in.fromProc == y {
-				// The message becomes intra-processor.
-				arr = in.fromEnd
-			} else {
-				// A route already passing through y is truncated there;
-				// otherwise it is extended by the hop pivot->y.
-				arr = -1
-				for h := range in.hops {
-					if in.hops[h].To == y {
-						arr = in.hops[h].End
-						break
-					}
-				}
-				if arr < 0 {
-					dur := in.cost
-					if in.commRow != nil {
-						dur = in.commRow[link] * in.cost
-					}
-					start := en.be.linkEarliestFitWithExtra(link, in.ready, dur, sc.extra[link])
-					sc.add(link, start, start+dur)
-					arr = start + dur
-				}
+			arr := in.arr
+			if arr < 0 {
+				hd := in.hopDur(link)
+				start := en.be.linkEarliestFitWithExtra(link, in.ready, hd, sc.extra[link])
+				sc.add(link, start, start+hd)
+				arr = start + hd
 			}
 			if arr > drt {
 				drt = arr
 			}
 		}
-		dur := execRow[y] * taskCost
 		start := en.be.procEarliestFit(y, drt, dur)
 		row[ni] = start + dur
-		en.evaluations++
 	}
 }
 

@@ -119,17 +119,25 @@ func TestPartitionTasksPaper(t *testing.T) {
 // randomConnectedDAG builds a random DAG guaranteed weakly connected by
 // first chaining every task to a random earlier task.
 func randomConnectedDAG(rng *rand.Rand, n int, extraProb float64) *graph.Graph {
+	return randomDAGWithCosts(rng, n, extraProb,
+		func() float64 { return 1 + rng.Float64()*199 },
+		func() float64 { return rng.Float64() * 100 })
+}
+
+// randomDAGWithCosts is randomConnectedDAG with the task and edge costs
+// drawn by the given functions.
+func randomDAGWithCosts(rng *rand.Rand, n int, extraProb float64, taskCost, edgeCost func() float64) *graph.Graph {
 	b := graph.NewBuilder()
 	ids := make([]graph.TaskID, n)
 	seen := make(map[[2]graph.TaskID]bool)
 	for i := 0; i < n; i++ {
-		ids[i] = b.AddTask(tName(i), 1+rng.Float64()*199)
+		ids[i] = b.AddTask(tName(i), taskCost())
 	}
 	addEdge := func(u, v graph.TaskID) {
 		k := [2]graph.TaskID{u, v}
 		if !seen[k] {
 			seen[k] = true
-			b.AddEdge(u, v, rng.Float64()*100)
+			b.AddEdge(u, v, edgeCost())
 		}
 	}
 	for i := 1; i < n; i++ {

@@ -133,6 +133,18 @@ func (tl *Timeline) searchStartAtLeast(t float64) int {
 	return lo
 }
 
+// insertIndex returns where a slot starting at start goes: after every
+// slot starting earlier and after any zero-length slot at start, which
+// the fit scan passes over (it ends by start) and which therefore does not
+// overlap the new slot.
+func (tl *Timeline) insertIndex(start float64) int {
+	idx := tl.searchStartAtLeast(start)
+	for idx < len(tl.slots) && tl.slots[idx].End <= start+timeEps {
+		idx++
+	}
+	return idx
+}
+
 // insertAt inserts s at index idx, shifting later slots right.
 func (tl *Timeline) insertAt(idx int, s Slot) {
 	tl.noteInsert(s)
@@ -268,7 +280,7 @@ func (tl *Timeline) Reserve(start, dur float64, owner int64) error {
 		return fmt.Errorf("schedule: negative duration %v", dur)
 	}
 	end := start + dur
-	idx := tl.searchStartAtLeast(start)
+	idx := tl.insertIndex(start)
 	if idx > 0 && tl.slots[idx-1].End > start+timeEps {
 		return fmt.Errorf("schedule: slot [%v,%v) overlaps [%v,%v)", start, end, tl.slots[idx-1].Start, tl.slots[idx-1].End)
 	}
@@ -288,7 +300,7 @@ func (tl *Timeline) ReserveExact(start, end float64, owner int64) error {
 	if end < start {
 		return fmt.Errorf("schedule: negative duration slot [%v,%v)", start, end)
 	}
-	idx := tl.searchStartAtLeast(start)
+	idx := tl.insertIndex(start)
 	if idx > 0 && tl.slots[idx-1].End > start+timeEps {
 		return fmt.Errorf("schedule: slot [%v,%v) overlaps [%v,%v)", start, end, tl.slots[idx-1].Start, tl.slots[idx-1].End)
 	}

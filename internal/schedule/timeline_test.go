@@ -67,6 +67,42 @@ func TestTimelineZeroDuration(t *testing.T) {
 	}
 }
 
+// TestTimelineReserveAfterZeroLengthSlot checks that Reserve and
+// ReserveExact agree with the fit about zero-length slots: one at a new
+// slot's start is passed over, and the new slot goes after it, as
+// ReserveEarliest would put it; one strictly inside the new slot blocks.
+func TestTimelineReserveAfterZeroLengthSlot(t *testing.T) {
+	var tl Timeline
+	if err := tl.Reserve(11, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := tl.EarliestFit(11, 2); got != 11 {
+		t.Fatalf("fit after a zero-length slot at the start = %v, want 11", got)
+	}
+	if err := tl.ReserveExact(11, 13, 2); err != nil {
+		t.Fatalf("ReserveExact at a zero-length slot's instant: %v", err)
+	}
+	if err := tl.Reserve(11, 0, 3); err != nil {
+		t.Fatalf("second zero-length slot at the same instant: %v", err)
+	}
+	var owners []int64
+	for _, s := range tl.Slots() {
+		owners = append(owners, s.Owner)
+	}
+	if len(owners) != 3 || owners[0] != 1 || owners[1] != 3 || owners[2] != 2 {
+		t.Fatalf("slot order by owner = %v, want [1 3 2]", owners)
+	}
+	if err := tl.CheckConsistent(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Reserve(20, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Reserve(19, 2, 5); err == nil {
+		t.Fatal("a slot straddling a zero-length slot should overlap it")
+	}
+}
+
 func TestTimelineReserveOverlapErrors(t *testing.T) {
 	var tl Timeline
 	tl.Reserve(10, 10, 1)

@@ -69,6 +69,7 @@ func (b bsaScheduler) Schedule(ctx context.Context, p sched.Problem, opts ...sch
 			"cache_hits":     float64(res.CacheHits),
 			"cache_partials": float64(res.CachePartials),
 			"cache_misses":   float64(res.CacheMisses),
+			"bound_skips":    float64(res.BoundSkips),
 		},
 	}
 	out.SetTrace(&sched.BSATrace{
@@ -89,6 +90,7 @@ func (b bsaScheduler) Schedule(ctx context.Context, p sched.Problem, opts ...sch
 		CacheHits:     res.CacheHits,
 		CachePartials: res.CachePartials,
 		CacheMisses:   res.CacheMisses,
+		BoundSkips:    res.BoundSkips,
 		RestoredBest:  res.RestoredBest,
 	})
 	return out, nil

@@ -294,4 +294,7 @@ func TestBSATraceCarriesSerializationDetail(t *testing.T) {
 	if res.Stats.Get("sweeps") < 1 {
 		t.Errorf("sweeps=%v", res.Stats.Get("sweeps"))
 	}
+	if got := res.Stats.Get("bound_skips"); got != float64(trace.BoundSkips) || trace.BoundSkips > trace.Evaluations {
+		t.Errorf("bound_skips stat %v, trace %d of %d evaluations", got, trace.BoundSkips, trace.Evaluations)
+	}
 }

@@ -239,6 +239,7 @@ func Reschedule(ctx context.Context, prev Result, delta Delta, opts ...Option) (
 			"cache_hits":     float64(res.CacheHits),
 			"cache_partials": float64(res.CachePartials),
 			"cache_misses":   float64(res.CacheMisses),
+			"bound_skips":    float64(res.BoundSkips),
 		},
 	}
 	out.SetTrace(&RescheduleTrace{
@@ -255,6 +256,7 @@ func Reschedule(ctx context.Context, prev Result, delta Delta, opts ...Option) (
 		CacheHits:     res.CacheHits,
 		CachePartials: res.CachePartials,
 		CacheMisses:   res.CacheMisses,
+		BoundSkips:    res.BoundSkips,
 		RestoredBest:  res.RestoredBest,
 	})
 	return out, nil

@@ -87,6 +87,9 @@ func TestRescheduleRemoveProc(t *testing.T) {
 	if tr.DirtyTasks <= 0 {
 		t.Error("trace reports an empty dirty frontier after a proc removal")
 	}
+	if got := warm.Stats.Get("bound_skips"); got != float64(tr.BoundSkips) || tr.BoundSkips <= 0 || tr.BoundSkips > tr.Evaluations {
+		t.Errorf("bound_skips stat %v, trace %d of %d evaluations", got, tr.BoundSkips, tr.Evaluations)
+	}
 	cold := prev.Stats.Get("evaluations")
 	if ev := warm.Stats.Get("evaluations"); ev >= cold {
 		t.Errorf("warm evaluations %v not below cold %v", ev, cold)

@@ -23,8 +23,8 @@ type BSATrace struct {
 
 	// Migrations counts committed task migrations, Reverted the ones
 	// rolled back by the bubble-up guard, Sweeps the breadth-first pivot
-	// passes and Evaluations the tentative neighbour finish-time
-	// computations.
+	// passes and Evaluations the candidate entries settled, by a full
+	// evaluation or by the bound.
 	Migrations  int
 	Reverted    int
 	Sweeps      int
@@ -41,6 +41,11 @@ type BSATrace struct {
 	CacheHits     int
 	CachePartials int
 	CacheMisses   int
+	// BoundSkips counts the candidate entries among Evaluations that a
+	// finish-time lower bound settled without a full evaluation, because
+	// they could not change the migration decision. Zero on the
+	// full-rebuild engine, which evaluates every entry in full.
+	BoundSkips int
 	// RestoredBest reports whether the final elitism pass rewound to an
 	// earlier, shorter state.
 	RestoredBest bool
@@ -59,7 +64,8 @@ type RescheduleTrace struct {
 	Serial []graph.TaskID
 
 	// The remaining counters mirror BSATrace, restricted to the warm
-	// sweeps actually run.
+	// sweeps actually run. Evaluations counts candidate entries settled,
+	// by a full evaluation or by the bound.
 	Migrations    int
 	Reverted      int
 	Sweeps        int
@@ -70,6 +76,7 @@ type RescheduleTrace struct {
 	CacheHits     int
 	CachePartials int
 	CacheMisses   int
+	BoundSkips    int
 	RestoredBest  bool
 }
 
