@@ -65,10 +65,9 @@ bench-verify:
 # tests, then each workload for one timed second with per-layer tracing,
 # which exercises its correctness gate (every schedule validated, nsl
 # checked) and its engine-stats keys. Any non-zero exit fails the target.
-PERFBENCH_WORKLOADS ?= bsa-dense bsa-sparse schedd-mixed
 perfbench-smoke:
 	cd perfbench && $(GO) test -count 1 .
-	for w in $(PERFBENCH_WORKLOADS); do \
+	for w in bsa-dense bsa-sparse schedd-mixed; do \
 		bash perfbench/run.sh --workload $$w --seconds 1 --trace 1 >/dev/null || exit 1; \
 	done
 
