@@ -31,9 +31,20 @@ fmt-check:
 # the committed file is the performance trajectory's previous point,
 # which bench-gate compares against.
 # -count 3 + benchjson's best-of-N dedup damps runner noise enough for the
-# 15% regression gate to hold on shared CI machines.
+# 15% regression gate to hold on shared CI machines. The small
+# BenchmarkBSA rows (n=100 and n=200, 2-15 ms per op) run apart, as six
+# one-count invocations of 20 iterations each: every row's best then
+# comes from samples spread across the run, and each incremental sample
+# sits within a second of its oracle counterpart. Taken as a best of 9
+# single iterations in one block per row, their oracle-relative speedups
+# spread over 0.94-1.47 (n=100) and 0.82-1.59 (n=200) across six runs of
+# one build on a 2-vCPU host, and one 60-iteration, three-count
+# invocation did no better; six rounds of 20 read 0.90-1.14 and
+# 0.99-1.28.
+BENCH_SMALL := ^BenchmarkBSA$$/^(incremental|oracle)$$/^n=(100|200)$$
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBSA$$|BenchmarkBSATopologies$$|BenchmarkDLS$$|BenchmarkReschedule$$' -benchtime 3x -count 3 . | $(GO) run ./cmd/benchjson -out BENCH_core.json
+	{ $(GO) test -run '^$$' -bench 'BenchmarkBSA$$|BenchmarkBSATopologies$$|BenchmarkDLS$$|BenchmarkReschedule$$' -skip '$(BENCH_SMALL)' -benchtime 3x -count 3 . && \
+	  for i in 1 2 3 4 5 6; do $(GO) test -run '^$$' -bench '$(BENCH_SMALL)' -benchtime 20x -count 1 . || exit 1; done; } | $(GO) run ./cmd/benchjson -out BENCH_core.json
 
 # bench-smoke executes every benchmark once so they cannot bit-rot.
 bench-smoke:
@@ -45,9 +56,10 @@ bench-smoke:
 # matrix — every BenchmarkBSA size row and every BenchmarkBSATopologies
 # topology row — so a regression on the documented hot spots (full=16,
 # the n=1000/2000 production sizes, full=32/ring=64) cannot pass CI
-# silently; best-of-9 (3 iterations x -count 3) damps the small sizes'
-# noise enough for the shared 15% threshold. Entries present in only one
-# report are listed by benchcmp but do not gate.
+# silently; best-of-6 at 20 iterations (n=100, n=200, see bench) and
+# best-of-9 at 3 iterations (every larger row) damp the noise enough for
+# the shared 15% threshold. Entries present in only one report are listed by benchcmp
+# but do not gate.
 bench-gate:
 	@cp BENCH_core.json /tmp/bench-baseline.json
 	@rm -f BENCH_core.json  # a failed bench must not leave the stale committed report behind

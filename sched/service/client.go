@@ -19,6 +19,12 @@ import (
 // Client drives a running scheduling service over HTTP. The zero value
 // is not usable: construct with NewClient. cmd/schedctl and the
 // end-to-end tests are its reference consumers.
+//
+// Schedule, Submit and SubmitBatch send the graph, system and topology
+// documents verbatim, as the caller passed them, instead of re-encoding
+// every byte of them per call. A document that is not valid JSON
+// therefore comes back as the server's typed 400 (an *APIError with
+// CodeBadRequest), not as a local encoding error.
 type Client struct {
 	base  string
 	http  *http.Client
@@ -174,24 +180,18 @@ func apiError(resp *http.Response, data []byte) *APIError {
 	return apiErr
 }
 
-// do issues a request and decodes the response into out (ignored when
-// nil). Non-2xx responses come back as *APIError. idempotent marks the
-// request safe to retry under the client's retry policy.
-func (c *Client) do(ctx context.Context, method, path string, in, out any, idempotent bool) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return err
-		}
-	}
+// do issues a request with the given JSON body (nil: none) and decodes
+// the response into out (ignored when nil). Non-2xx responses come back
+// as *APIError. idempotent marks the request safe to retry under the
+// client's retry policy.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, idempotent bool) error {
 	attempts := 1
 	if c.retry != nil && idempotent {
 		attempts = c.retry.policy.MaxAttempts
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		lastErr = c.doOnce(ctx, method, path, body, in != nil, out)
+		lastErr = c.doOnce(ctx, method, path, body, out)
 		if lastErr == nil || attempt >= attempts {
 			return lastErr
 		}
@@ -206,16 +206,16 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 }
 
 // doOnce issues exactly one attempt.
-func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, hasBody bool, out any) error {
+func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
 	var rd io.Reader
-	if hasBody {
+	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return err
 	}
-	if hasBody {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
@@ -240,7 +240,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, h
 // retried: the job is anonymous, so a retry could run it twice.
 func (c *Client) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleResponse, error) {
 	var out ScheduleResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/schedule", req, &out, false); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/schedule", req.wireDoc(), &out, false); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -251,7 +251,7 @@ func (c *Client) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleRe
 // carries an idempotency key — the key makes the resubmission safe.
 func (c *Client) Submit(ctx context.Context, req ScheduleRequest) (*JobView, error) {
 	var out JobView
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &out, req.IdempotencyKey != ""); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req.wireDoc(), &out, req.IdempotencyKey != ""); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -270,7 +270,7 @@ func (c *Client) SubmitBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 		}
 	}
 	var out BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/batch", req, &out, keyed); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/batch", req.wireDoc(), &out, keyed); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -280,8 +280,12 @@ func (c *Client) SubmitBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 // (POST /v1/jobs/{id}/reschedule) and returns the new job's initial
 // view. Never retried: reschedules carry no idempotency key.
 func (c *Client) Reschedule(ctx context.Context, id string, req RescheduleRequest) (*JobView, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
 	var out JobView
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+id+"/reschedule", req, &out, false); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+id+"/reschedule", body, &out, false); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -20,9 +20,8 @@
 //	                                 with 200 instead of scheduling again
 //	POST /v1/batch                   many submissions in one request; top-level
 //	                                 graph/system/topology/het act as per-job
-//	                                 defaults and identical documents compile
-//	                                 once; 202 + BatchResponse with independent
-//	                                 per-job outcomes
+//	                                 defaults; 202 + BatchResponse with
+//	                                 independent per-job outcomes
 //	GET  /v1/jobs/{id}               poll a job until its Status is terminal
 //	GET  /v1/jobs/{id}/events        SSE stream ("event: status", data: JobView
 //	                                 JSON) of status transitions until terminal —
@@ -32,6 +31,16 @@
 //	GET  /v1/cluster                 replica membership with live health probes
 //	GET  /healthz                    liveness (503 "draining" during shutdown)
 //	GET  /metrics                    expvar counters (below)
+//
+// Identical documents compile once per server, not once per request:
+// the server keeps the graphs and systems it compiled in a cache shared
+// by every intake path (sync, async, batch, boot replay and reschedule
+// recomputation), keyed by the exact document bytes. A problem resubmitted
+// with another seed, or a batch sweep over one problem, skips parsing
+// and validation. The cache is bounded at 64 MiB: each entry is charged
+// its document bytes plus its compiled size, and an insert that would
+// pass the bound starts the cache over. Compiled problems are immutable,
+// so sharing them changes no schedule.
 //
 // Errors are typed: every non-2xx body is {"error":{"code","message"}}
 // with a stable code (CodeBadRequest, CodeUnknownAlgorithm,
@@ -127,6 +136,10 @@
 //	cache_partials_total     BSA sweep-cache partial hits
 //	cache_misses_total       BSA sweep-cache misses
 //	evaluations_total        candidate evaluations, all algorithms
+//	compile_hits_total       compiles whose graph and system both came
+//	                         from the compile cache
+//	compile_misses_total     compiles that parsed or built a graph or
+//	                         system (failed ones included)
 //	reschedules_total        accepted reschedule jobs
 //	delta_remove_procs_total delta operations by kind, summed over
 //	delta_remove_links_total accepted deltas

@@ -237,6 +237,22 @@ func TestScheduleBadJSON(t *testing.T) {
 	}
 }
 
+// TestClientSendsDocumentsVerbatim pins that the client does not
+// re-encode documents: one that is not valid JSON reaches the server and
+// comes back as its typed 400, on every document-carrying call.
+func TestClientSendsDocumentsVerbatim(t *testing.T) {
+	_, client, _ := newTestService(t, service.Config{})
+	ctx := context.Background()
+	req := paperRequest(t)
+	req.Graph = json.RawMessage(`{"tasks":[`)
+	_, err := client.Schedule(ctx, req)
+	wantAPIError(t, err, http.StatusBadRequest, service.CodeBadRequest)
+	_, err = client.Submit(ctx, req)
+	wantAPIError(t, err, http.StatusBadRequest, service.CodeBadRequest)
+	_, err = client.SubmitBatch(ctx, service.BatchRequest{Graph: req.Graph, System: req.System, Jobs: []service.ScheduleRequest{{Seed: 1}}})
+	wantAPIError(t, err, http.StatusBadRequest, service.CodeBadRequest)
+}
+
 func TestScheduleMissingSystem(t *testing.T) {
 	_, client, _ := newTestService(t, service.Config{})
 	req := paperRequest(t)

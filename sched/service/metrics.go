@@ -28,6 +28,12 @@ type metrics struct {
 	CacheMisses   *expvar.Int
 	Evaluations   *expvar.Int
 
+	// Compile cache: compiles whose graph and system both came from the
+	// server's compile cache, and compiles that parsed or built either of
+	// them (including ones that then failed validation).
+	CompileHits   *expvar.Int
+	CompileMisses *expvar.Int
+
 	// Reschedule intake: accepted reschedule jobs, plus per-kind delta
 	// operation counts summed over every accepted delta.
 	Reschedules      *expvar.Int
@@ -83,6 +89,8 @@ func newMetrics() *metrics {
 		{"cache_partials_total", &m.CachePartials},
 		{"cache_misses_total", &m.CacheMisses},
 		{"evaluations_total", &m.Evaluations},
+		{"compile_hits_total", &m.CompileHits},
+		{"compile_misses_total", &m.CompileMisses},
 		{"reschedules_total", &m.Reschedules},
 		{"delta_remove_procs_total", &m.DeltaRemoveProcs},
 		{"delta_remove_links_total", &m.DeltaRemoveLinks},

@@ -178,6 +178,8 @@ type Server struct {
 	cluster  *cluster // nil when single-node
 	metrics  *metrics
 	draining atomic.Bool
+	// compiled caches compiled graphs and systems across requests.
+	compiled *compileCache
 
 	// detector and replicas implement the fault-tolerant tier; both are
 	// nil unless clustered with Replicas > 1. replicas holds record
@@ -221,6 +223,7 @@ func New(cfg Config) *Server {
 		rec:         cfg.Store,
 		cluster:     cl,
 		metrics:     newMetrics(),
+		compiled:    newCompileCache(compileBudget),
 		janitorStop: make(chan struct{}),
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.runJob)
@@ -372,7 +375,7 @@ func (s *Server) rebuildJob(rec *Record) (*job, *ErrorBody) {
 		if err := json.Unmarshal(rec.Request, &req); err != nil {
 			return nil, &ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("stored request: %v", err)}
 		}
-		p, scheduler, errBody := req.compile(s.cfg.DefaultAlgo, nil)
+		p, scheduler, errBody := s.compile(&req)
 		if errBody != nil {
 			return nil, errBody
 		}
@@ -423,7 +426,7 @@ func (s *Server) resultOf(ctx context.Context, id string) (*sched.Result, error)
 		if err := json.Unmarshal(rec.Request, &req); err != nil {
 			return nil, fmt.Errorf("stored request for %q: %w", id, err)
 		}
-		p, scheduler, errBody := req.compile(s.cfg.DefaultAlgo, nil)
+		p, scheduler, errBody := s.compile(&req)
 		if errBody != nil {
 			return nil, errBody
 		}
@@ -450,10 +453,9 @@ func (s *Server) rescheduleRun(sourceID string, delta sched.Delta, seed int64) f
 // context for synchronous calls and the background context for
 // asynchronous jobs. persist marks the job store-backed (asynchronous
 // submissions); synchronous jobs never are — their IDs are not
-// disclosed, so nothing can look them up later. cc (nil outside
-// batches) shares compiled documents across a batch.
-func (s *Server) newJob(base context.Context, req *ScheduleRequest, persist bool, cc *compileCache) (*job, *ErrorBody) {
-	p, scheduler, errBody := req.compile(s.cfg.DefaultAlgo, cc)
+// disclosed, so nothing can look them up later.
+func (s *Server) newJob(base context.Context, req *ScheduleRequest, persist bool) (*job, *ErrorBody) {
+	p, scheduler, errBody := s.compile(req)
 	if errBody != nil {
 		return nil, errBody
 	}
@@ -1067,7 +1069,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// Synchronous calls are served wherever they land: the job is private
 	// to this request, so ownership routing (and the idempotency key) do
 	// not apply.
-	j, errBody := s.newJob(r.Context(), &req, false, nil)
+	j, errBody := s.newJob(r.Context(), &req, false)
 	if errBody != nil {
 		s.metrics.JobsRejected.Add(1)
 		writeError(w, errBody)
@@ -1093,7 +1095,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, v.Error)
 		return
 	}
-	writeJSON(w, http.StatusOK, v.Result)
+	writeEncoded(w, v.Result.encode)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -1111,7 +1113,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			}
-			s.submitLocal(w, &req, nil)
+			s.submitLocal(w, &req)
 			return
 		}
 	}
@@ -1131,8 +1133,8 @@ func (c *cluster) ownerTokenIfClustered(key string) string {
 // submitLocal accepts one asynchronous submission on this replica,
 // deduplicating by idempotency key. A duplicate returns the original
 // job's current view with HTTP 200 (not 202 — nothing was accepted).
-func (s *Server) submitLocal(w http.ResponseWriter, req *ScheduleRequest, cc *compileCache) {
-	dup, j, errBody := s.accept(req, cc)
+func (s *Server) submitLocal(w http.ResponseWriter, req *ScheduleRequest) {
+	dup, j, errBody := s.accept(req)
 	switch {
 	case errBody != nil:
 		writeError(w, errBody)
@@ -1151,7 +1153,7 @@ func (s *Server) submitLocal(w http.ResponseWriter, req *ScheduleRequest, cc *co
 // through the dedup-check-and-enqueue window, NOT through replication —
 // the caller replicates after, so keyed intake never serializes behind
 // a slow successor's network round trip.
-func (s *Server) accept(req *ScheduleRequest, cc *compileCache) (*JobView, *job, *ErrorBody) {
+func (s *Server) accept(req *ScheduleRequest) (*JobView, *job, *ErrorBody) {
 	if req.IdempotencyKey != "" {
 		s.keyMu.Lock()
 		defer s.keyMu.Unlock()
@@ -1169,7 +1171,7 @@ func (s *Server) accept(req *ScheduleRequest, cc *compileCache) (*JobView, *job,
 			}
 		}
 	}
-	j, errBody := s.newJob(context.Background(), req, true, cc)
+	j, errBody := s.newJob(context.Background(), req, true)
 	if errBody != nil {
 		s.metrics.JobsRejected.Add(1)
 		return nil, nil, errBody
@@ -1181,11 +1183,12 @@ func (s *Server) accept(req *ScheduleRequest, cc *compileCache) (*JobView, *job,
 }
 
 // handleBatch accepts many submissions in one request. Top-level
-// documents act as per-job defaults and byte-identical documents compile
-// once, so a parameter sweep pays wire and compile cost once instead of
-// per job. Jobs are accepted or rejected independently — the response
-// carries one BatchItem per job, in order — and in cluster mode each job
-// is routed to its key's owner in per-owner sub-batches.
+// documents act as per-job defaults, so a parameter sweep pays wire cost
+// once instead of per job; like every intake path, it compiles only
+// documents the server has not compiled before. Jobs are accepted or
+// rejected independently — the response carries one BatchItem per job,
+// in order — and in cluster mode each job is routed to its key's owner
+// in per-owner sub-batches.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, errBody := s.readBody(w, r)
 	if errBody != nil {
@@ -1239,9 +1242,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			local = append(local, i)
 		}
 	}
-	cc := newCompileCache()
 	for _, i := range local {
-		resp.Jobs[i] = s.batchItemLocal(&batch.Jobs[i], cc)
+		resp.Jobs[i] = s.batchItemLocal(&batch.Jobs[i])
 	}
 	for addr, idxs := range remote {
 		items := s.batchForward(r, addr, batch.Jobs, idxs)
@@ -1254,8 +1256,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // batchItemLocal accepts one batch job on this replica. It mirrors
 // submitLocal without writing to the response directly.
-func (s *Server) batchItemLocal(req *ScheduleRequest, cc *compileCache) BatchItem {
-	dup, j, errBody := s.accept(req, cc)
+func (s *Server) batchItemLocal(req *ScheduleRequest) BatchItem {
+	dup, j, errBody := s.accept(req)
 	switch {
 	case errBody != nil:
 		return BatchItem{Error: errBody}
@@ -1285,13 +1287,9 @@ func (s *Server) batchForward(r *http.Request, addr string, jobs []ScheduleReque
 		}
 		return items
 	}
-	data, err := json.Marshal(&sub)
-	if err != nil {
-		return fail(err)
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ForwardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/v1/batch", bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/v1/batch", bytes.NewReader(sub.wireDoc()))
 	if err != nil {
 		return fail(err)
 	}
@@ -1410,20 +1408,25 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j, ok := s.jobs.get(id, s.cfg.Now(), s.cfg.JobTTL); ok {
-		writeJSON(w, http.StatusOK, j.view())
+		writeEncoded(w, j.view().encode)
 		return
 	}
-	if rec, ok := s.storeGet(id); ok {
-		writeJSON(w, http.StatusOK, viewOfRecord(rec))
+	if rec, ok := s.sourceRecord(id); ok {
+		writeEncoded(w, viewOfRecord(rec).encode)
 		return
-	}
-	if s.replicas != nil {
-		if rec, ok := s.replicas.get(id); ok {
-			writeJSON(w, http.StatusOK, viewOfRecord(rec))
-			return
-		}
 	}
 	writeError(w, s.unknownJobError(id))
+}
+
+// writeEncoded is writeJSON for a 200 body with a schedule document,
+// which encode (JobView.encode or ScheduleResponse.encode) streams
+// verbatim.
+func writeEncoded(w http.ResponseWriter, encode func(io.Writer) error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if encode(w) == nil {
+		io.WriteString(w, "\n") //nolint:errcheck // the response is already committed
+	}
 }
 
 // handleEvents streams a job's status transitions as server-sent events
@@ -1493,13 +1496,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeSSE emits one SSE status event with its id. The data line is
-// compact JSON — newlines would break the line-oriented framing.
+// compact JSON — newlines would break the line-oriented framing — and
+// streams the schedule document verbatim (see JobView.encode).
 func writeSSE(w io.Writer, id int, v *JobView) error {
-	data, err := json.Marshal(v)
-	if err != nil {
+	if _, err := fmt.Fprintf(w, "id: %d\nevent: status\ndata: ", id); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: status\ndata: %s\n\n", id, data)
+	if err := v.encode(w); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "\n\n")
 	return err
 }
 

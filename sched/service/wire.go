@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"repro/sched"
 	"repro/sched/gen"
@@ -62,69 +64,93 @@ type ScheduleRequest struct {
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 
-// wireDoc renders the request as its persistence document — equivalent
-// to json.Marshal's output — without reflection. The graph and system
-// documents are appended verbatim: their syntax was already validated by
-// the strict wire decode, and encoding/json would otherwise recompact
-// every byte of them per job, which dominates batch admission (a 64-job
-// batch recompacts the shared graph document 64 times over). The result
-// only ever feeds json.Unmarshal back into a ScheduleRequest on replay.
+// wireDoc renders the request as its persistence document and its
+// request body — equivalent to json.Marshal's output — without
+// reflection. The graph and system documents are appended verbatim:
+// encoding/json would otherwise validate and recompact every byte of
+// them per job, which dominates batch admission (a 64-job batch
+// recompacts the shared graph document 64 times over). The server's
+// strict wire decode validates their syntax on arrival, and the
+// persisted document only ever feeds json.Unmarshal back into a
+// ScheduleRequest on replay.
 func (req *ScheduleRequest) wireDoc() json.RawMessage {
-	buf := make([]byte, 0, 96+len(req.Graph)+len(req.System)+len(req.Topology))
-	buf = append(buf, '{')
-	key := func(name string) {
-		if buf[len(buf)-1] != '{' {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '"')
-		buf = append(buf, name...)
-		buf = append(buf, '"', ':')
-	}
-	str := func(s string) {
-		q, _ := json.Marshal(s) // escaping only; marshaling a string cannot fail
-		buf = append(buf, q...)
-	}
+	return req.appendWire(make([]byte, 0, req.wireSize()))
+}
+
+// wireSize is the capacity wireDoc reserves: the documents and the two
+// strings, plus 384 bytes for the member names and the small members.
+// Persisted jobs keep their document for the whole job TTL, and a
+// buffer that append had to regrow would stay about a quarter too
+// large.
+func (req *ScheduleRequest) wireSize() int {
+	return 384 + len(req.Algo) + len(req.IdempotencyKey) + len(req.Graph) + len(req.System) + len(req.Topology)
+}
+
+// appendWire appends the request's wire document to buf.
+func (req *ScheduleRequest) appendWire(buf []byte) []byte {
+	o := jsonObject{buf: append(buf, '{')}
 	if req.Algo != "" {
-		key("algo")
-		str(req.Algo)
+		o.value("algo", req.Algo)
 	}
-	key("graph") // no omitempty: absence round-trips as null
 	if len(req.Graph) == 0 {
-		buf = append(buf, "null"...)
+		o.raw("graph", []byte("null")) // no omitempty: absence round-trips as null
 	} else {
-		buf = append(buf, req.Graph...)
+		o.raw("graph", req.Graph)
 	}
 	if len(req.System) > 0 {
-		key("system")
-		buf = append(buf, req.System...)
+		o.raw("system", req.System)
 	}
 	if len(req.Topology) > 0 {
-		key("topology")
-		buf = append(buf, req.Topology...)
+		o.raw("topology", req.Topology)
 	}
 	if req.Topo != nil {
-		key("topo")
-		t, _ := json.Marshal(req.Topo) // plain int/string struct cannot fail
-		buf = append(buf, t...)
+		o.value("topo", req.Topo)
 	}
 	if req.Het != nil {
-		key("het")
-		h, _ := json.Marshal(req.Het) // plain float/int struct cannot fail
-		buf = append(buf, h...)
+		o.value("het", req.Het)
 	}
 	if req.Seed != 0 {
-		key("seed")
-		buf = strconv.AppendInt(buf, req.Seed, 10)
+		o.key("seed")
+		o.buf = strconv.AppendInt(o.buf, req.Seed, 10)
 	}
 	if req.TimeoutMS != 0 {
-		key("timeout_ms")
-		buf = strconv.AppendInt(buf, req.TimeoutMS, 10)
+		o.key("timeout_ms")
+		o.buf = strconv.AppendInt(o.buf, req.TimeoutMS, 10)
 	}
 	if req.IdempotencyKey != "" {
-		key("idempotency_key")
-		str(req.IdempotencyKey)
+		o.value("idempotency_key", req.IdempotencyKey)
 	}
-	return append(buf, '}')
+	return append(o.buf, '}')
+}
+
+// jsonObject appends the members of a JSON object being rendered.
+type jsonObject struct {
+	buf     []byte
+	members int
+}
+
+func (o *jsonObject) key(name string) {
+	if o.members > 0 {
+		o.buf = append(o.buf, ',')
+	}
+	o.members++
+	o.buf = append(o.buf, '"')
+	o.buf = append(o.buf, name...)
+	o.buf = append(o.buf, '"', ':')
+}
+
+// raw appends a member whose value is a JSON document, verbatim.
+func (o *jsonObject) raw(name string, doc []byte) {
+	o.key(name)
+	o.buf = append(o.buf, doc...)
+}
+
+// value appends a member holding a string or a plain struct of
+// strings and numbers, which json.Marshal cannot fail on.
+func (o *jsonObject) value(name string, v any) {
+	o.key(name)
+	data, _ := json.Marshal(v)
+	o.buf = append(o.buf, data...)
 }
 
 // TopoSpecWire is the wire form of a generated topology: the server
@@ -230,9 +256,10 @@ func viewOfRecord(rec *Record) *JobView {
 // Topo / Het act as defaults — a job with no graph inherits Graph, and
 // a job with no system, topology or topo inherits the
 // System/Topology/Topo/Het group — so a parameter sweep over one
-// problem ships the documents once. Byte-identical documents within a
-// batch are also compiled once, amortizing parse + validation cost
-// across the jobs that share them.
+// problem ships the documents once. Like every submission, a job whose
+// documents the server has compiled before, in this batch or any
+// earlier request, reuses the compiled problem instead of parsing and
+// validating them again.
 type BatchRequest struct {
 	Graph    json.RawMessage `json:"graph,omitempty"`
 	System   json.RawMessage `json:"system,omitempty"`
@@ -242,6 +269,46 @@ type BatchRequest struct {
 	// Jobs are the individual submissions; each is accepted (or rejected)
 	// independently.
 	Jobs []ScheduleRequest `json:"jobs"`
+}
+
+// wireDoc renders the batch as its request body — equivalent to
+// json.Marshal's output — with every document appended verbatim, as
+// ScheduleRequest.wireDoc does.
+func (b *BatchRequest) wireDoc() []byte {
+	size := 384 + len(b.Graph) + len(b.System) + len(b.Topology)
+	for i := range b.Jobs {
+		size += b.Jobs[i].wireSize()
+	}
+	o := jsonObject{buf: append(make([]byte, 0, size), '{')}
+	if len(b.Graph) > 0 {
+		o.raw("graph", b.Graph)
+	}
+	if len(b.System) > 0 {
+		o.raw("system", b.System)
+	}
+	if len(b.Topology) > 0 {
+		o.raw("topology", b.Topology)
+	}
+	if b.Topo != nil {
+		o.value("topo", b.Topo)
+	}
+	if b.Het != nil {
+		o.value("het", b.Het)
+	}
+	o.key("jobs")
+	if b.Jobs == nil {
+		o.buf = append(o.buf, "null"...)
+	} else {
+		o.buf = append(o.buf, '[')
+		for i := range b.Jobs {
+			if i > 0 {
+				o.buf = append(o.buf, ',')
+			}
+			o.buf = b.Jobs[i].appendWire(o.buf)
+		}
+		o.buf = append(o.buf, ']')
+	}
+	return append(o.buf, '}')
 }
 
 // BatchItem is the per-job outcome inside a BatchResponse: exactly one
@@ -422,77 +489,130 @@ func validationDetail(err error) string {
 	return ""
 }
 
-// compileCache memoizes compiled interchange documents within one batch
-// request, so N jobs sharing one graph/system document parse and
-// validate it once. Keys are the raw document bytes (plus, for
-// topology-derived systems, the graph dimensions and heterogeneity spec
-// the materialization depends on). Safe to share across the batch's jobs
-// because compiled graphs and systems are read-only to every scheduler.
-// Not safe for concurrent use — it memoizes a single handler's loop.
+// compileBudget bounds the bytes a server's compile cache charges. The
+// perfbench schedd-mixed working set, 64 problems with 6.4 MiB of
+// documents, charges about 12 MiB.
+const compileBudget = 64 << 20
+
+// Compiled sizes the cache charges per graph task and edge and per
+// system factor: a graph.Task (32 B) plus its two adjacency-list headers
+// (48 B), a graph.Edge (24 B) plus its two adjacency entries (8 B), a
+// float64 factor.
+const (
+	taskBytes   = 80
+	edgeBytes   = 32
+	factorBytes = 8
+)
+
+// compileCache memoizes compiled interchange documents across every
+// request a server handles — sync, async and batch intake, boot replay
+// and reschedule recomputation — so a document the server has already
+// compiled is not parsed and validated again. Clients resubmit one
+// problem with varying seeds (cmd/schedload and every batch sweep do),
+// so most document-carrying requests repeat a document.
+//
+// Graphs are keyed by their exact document bytes; systems by theirs plus
+// the graph's dimensions and, for topology-derived systems, the
+// heterogeneity spec and generated topology spec the materialization
+// depends on. Only problems that compiled and validated are cached.
+// Sharing them across requests and concurrently running jobs is safe:
+// compiled graphs and systems are immutable (schedulers only read them,
+// and Delta.Apply builds fresh matrices).
+//
+// Each entry is charged its key bytes plus its compiled size, so systems
+// built from tiny topo+het keys count too; an insert that would pass the
+// budget drops the whole cache first. A lookup copies nothing.
 type compileCache struct {
+	budget int64 // bytes; compileBudget outside tests
+
+	mu      sync.Mutex
+	charged int64 // bytes charged by the live entries
 	graphs  map[string]*graph.Graph
-	systems map[string]*system.System
+	systems map[systemKey]*system.System
 }
 
-func newCompileCache() *compileCache {
-	return &compileCache{graphs: make(map[string]*graph.Graph), systems: make(map[string]*system.System)}
+func newCompileCache(budget int64) *compileCache {
+	return &compileCache{budget: budget, graphs: make(map[string]*graph.Graph), systems: make(map[systemKey]*system.System)}
 }
 
-func (cc *compileCache) graph(doc json.RawMessage) (*graph.Graph, bool) {
-	if cc == nil {
-		return nil, false
+// systemKey names a compiled system: its System or Topology document
+// (empty for a generated Topo) plus everything else its materialization
+// depends on.
+type systemKey struct {
+	doc string
+	systemParams
+}
+
+type systemParams struct {
+	topology     bool // doc is a bare network document
+	topo         TopoSpecWire
+	het          HetSpec
+	hasHet       bool
+	tasks, edges int
+}
+
+func (cc *compileCache) graph(doc []byte) *graph.Graph {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.graphs[string(doc)] // the conversion in an index expression does not copy
+}
+
+func (cc *compileCache) system(doc []byte, sp systemParams) *system.System {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.systems[systemKey{string(doc), sp}]
+}
+
+// put caches a validated problem's graph and system, whichever of the
+// two is not cached yet.
+func (cc *compileCache) put(gdoc []byte, g *graph.Graph, sdoc []byte, sp systemParams, sys *system.System) {
+	gCharge := int64(len(gdoc) + taskBytes*g.NumTasks() + edgeBytes*g.NumEdges())
+	sCharge := int64(len(sdoc) + factorBytes*(len(sys.Exec)*sys.Net.NumProcs()+len(sys.Comm)*sys.Net.NumLinks()))
+	if gCharge+sCharge > cc.budget {
+		return // it would never fit
 	}
-	g, ok := cc.graphs[string(doc)]
-	return g, ok
-}
-
-func (cc *compileCache) putGraph(doc json.RawMessage, g *graph.Graph) {
-	if cc != nil {
-		cc.graphs[string(doc)] = g
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	_, haveGraph := cc.graphs[string(gdoc)]
+	_, haveSystem := cc.systems[systemKey{string(sdoc), sp}]
+	var charge int64
+	if !haveGraph {
+		charge += gCharge
+	}
+	if !haveSystem {
+		charge += sCharge
+	}
+	if cc.charged+charge > cc.budget {
+		clear(cc.graphs)
+		clear(cc.systems)
+		cc.charged = 0
+		haveGraph, haveSystem, charge = false, false, gCharge+sCharge
+	}
+	cc.charged += charge
+	if !haveGraph {
+		cc.graphs[string(gdoc)] = g
+	}
+	if !haveSystem {
+		cc.systems[systemKey{string(sdoc), sp}] = sys
 	}
 }
 
-// systemKey folds in everything the materialized system depends on
-// besides the document itself.
-func systemKey(doc json.RawMessage, g *graph.Graph, het *HetSpec) string {
-	key := fmt.Sprintf("%d/%d|", g.NumTasks(), g.NumEdges())
-	if het != nil {
-		key += fmt.Sprintf("het %g,%g,%d|", het.Lo, het.Hi, het.Seed)
-	}
-	return key + string(doc)
-}
-
-func (cc *compileCache) system(key string) (*system.System, bool) {
-	if cc == nil {
-		return nil, false
-	}
-	sys, ok := cc.systems[key]
-	return sys, ok
-}
-
-func (cc *compileCache) putSystem(key string, sys *system.System) {
-	if cc != nil {
-		cc.systems[key] = sys
-	}
-}
-
-// compile resolves a wire request into a ready-to-run problem: parsed
-// graph, materialized system and a constructed scheduler. All validation
-// errors surface here, before the job enters the queue, so asynchronous
-// submissions still fail fast with a typed 4xx. cc (nil outside batch
-// handling) short-circuits recompilation of repeated documents.
-func (req *ScheduleRequest) compile(defaultAlgo string, cc *compileCache) (sched.Problem, sched.Scheduler, *ErrorBody) {
+// problem resolves a request's graph and system through the cache and
+// validates them. compiled reports whether it parsed or built either
+// document, that is, whether the cache missed; a problem that validates
+// is then cached.
+func (cc *compileCache) problem(req *ScheduleRequest) (p sched.Problem, compiled bool, errBody *ErrorBody) {
+	fail := func(e *ErrorBody) (sched.Problem, bool, *ErrorBody) { return sched.Problem{}, compiled, e }
 	if !hasDoc(req.Graph) {
-		return sched.Problem{}, nil, &ErrorBody{Code: CodeBadRequest, Message: "missing graph document"}
+		return fail(&ErrorBody{Code: CodeBadRequest, Message: "missing graph document"})
 	}
-	g, ok := cc.graph(req.Graph)
-	if !ok {
+	g := cc.graph(req.Graph)
+	if g == nil {
+		compiled = true
 		var err error
-		g, err = graph.FromJSON(req.Graph)
-		if err != nil {
-			return sched.Problem{}, nil, &ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("graph: %v", err), Detail: validationDetail(err)}
+		if g, err = graph.FromJSON(req.Graph); err != nil {
+			return fail(&ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("graph: %v", err), Detail: validationDetail(err)})
 		}
-		cc.putGraph(req.Graph, g)
 	}
 
 	sources := 0
@@ -502,65 +622,92 @@ func (req *ScheduleRequest) compile(defaultAlgo string, cc *compileCache) (sched
 		}
 	}
 	if sources > 1 {
-		return sched.Problem{}, nil, &ErrorBody{Code: CodeBadRequest, Message: "system, topology and topo are mutually exclusive"}
+		return fail(&ErrorBody{Code: CodeBadRequest, Message: "system, topology and topo are mutually exclusive"})
 	}
 
-	var sys *system.System
+	sp := systemParams{tasks: g.NumTasks(), edges: g.NumEdges()}
+	if req.Het != nil {
+		sp.het, sp.hasHet = *req.Het, true
+	}
+	var sdoc []byte
 	switch {
 	case hasDoc(req.System):
 		if req.Het != nil {
-			return sched.Problem{}, nil, &ErrorBody{Code: CodeBadRequest, Message: "het applies to topology, not to a full system document"}
+			return fail(&ErrorBody{Code: CodeBadRequest, Message: "het applies to topology, not to a full system document"})
 		}
-		key := systemKey(req.System, g, nil)
-		if sys, ok = cc.system(key); !ok {
-			var err error
-			sys, err = system.SystemFromJSON(req.System)
-			if err != nil {
-				return sched.Problem{}, nil, &ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("system: %v", err), Detail: validationDetail(err)}
-			}
-			cc.putSystem(key, sys)
-		}
+		sdoc = req.System
 	case hasDoc(req.Topology):
-		key := systemKey(req.Topology, g, req.Het)
-		if sys, ok = cc.system(key); !ok {
-			nw, err := system.FromJSON(req.Topology)
-			if err != nil {
-				return sched.Problem{}, nil, &ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("topology: %v", err)}
-			}
-			var body *ErrorBody
-			if sys, body = materializeSystem(nw, g, req.Het); body != nil {
-				return sched.Problem{}, nil, body
-			}
-			cc.putSystem(key, sys)
-		}
+		sdoc, sp.topology = req.Topology, true
 	case req.Topo != nil:
-		spec, _ := json.Marshal(req.Topo) // plain int/string struct cannot fail
-		key := systemKey(append([]byte("topo|"), spec...), g, req.Het)
-		if sys, ok = cc.system(key); !ok {
-			nw, body := req.Topo.build()
-			if body != nil {
-				return sched.Problem{}, nil, body
-			}
-			if sys, body = materializeSystem(nw, g, req.Het); body != nil {
-				return sched.Problem{}, nil, body
-			}
-			cc.putSystem(key, sys)
-		}
+		sp.topo = *req.Topo
 	default:
-		return sched.Problem{}, nil, &ErrorBody{Code: CodeBadRequest, Message: "missing system, topology or topo"}
+		return fail(&ErrorBody{Code: CodeBadRequest, Message: "missing system, topology or topo"})
+	}
+	sys := cc.system(sdoc, sp)
+	if sys == nil {
+		compiled = true
+		var body *ErrorBody
+		if sys, body = buildSystem(req, g); body != nil {
+			return fail(body)
+		}
 	}
 
 	// Problem.Validate is the library's public well-formedness gate; going
 	// through it (rather than a private re-check) keeps the HTTP 400 body
 	// aligned with what embedding code would see.
-	p := sched.Problem{Graph: g, System: sys}
+	p = sched.Problem{Graph: g, System: sys}
 	if err := p.Validate(); err != nil {
-		return sched.Problem{}, nil, &ErrorBody{Code: CodeBadRequest, Message: err.Error(), Detail: validationDetail(err)}
+		return fail(&ErrorBody{Code: CodeBadRequest, Message: err.Error(), Detail: validationDetail(err)})
 	}
+	if compiled {
+		cc.put(req.Graph, g, sdoc, sp, sys)
+	}
+	return p, compiled, nil
+}
 
+// buildSystem compiles a request's system source, whichever of System,
+// Topology and Topo it carries.
+func buildSystem(req *ScheduleRequest, g *graph.Graph) (*system.System, *ErrorBody) {
+	switch {
+	case hasDoc(req.System):
+		sys, err := system.SystemFromJSON(req.System)
+		if err != nil {
+			return nil, &ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("system: %v", err), Detail: validationDetail(err)}
+		}
+		return sys, nil
+	case hasDoc(req.Topology):
+		nw, err := system.FromJSON(req.Topology)
+		if err != nil {
+			return nil, &ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("topology: %v", err)}
+		}
+		return materializeSystem(nw, g, req.Het)
+	default:
+		nw, body := req.Topo.build()
+		if body != nil {
+			return nil, body
+		}
+		return materializeSystem(nw, g, req.Het)
+	}
+}
+
+// compile resolves a wire request into a ready-to-run problem: parsed
+// graph, materialized system and a constructed scheduler. All validation
+// errors surface here, before the job enters the queue, so asynchronous
+// submissions still fail fast with a typed 4xx. Documents the server has
+// already compiled come from its compile cache.
+func (s *Server) compile(req *ScheduleRequest) (sched.Problem, sched.Scheduler, *ErrorBody) {
+	p, compiled, errBody := s.compiled.problem(req)
+	if compiled {
+		s.metrics.CompileMisses.Add(1)
+	} else if errBody == nil {
+		s.metrics.CompileHits.Add(1)
+	}
+	if errBody != nil {
+		return sched.Problem{}, nil, errBody
+	}
 	name := req.Algo
 	if name == "" {
-		name = defaultAlgo
+		name = s.cfg.DefaultAlgo
 	}
 	scheduler, err := sched.Lookup(name)
 	if err != nil {
@@ -628,4 +775,64 @@ func response(res *sched.Result) (*ScheduleResponse, error) {
 		Stats:     res.Stats,
 		Schedule:  doc,
 	}, nil
+}
+
+// encode writes r's JSON encoding to w, byte-identical to
+// json.Marshal's. The schedule document goes out verbatim, after the
+// other fields: Schedule.MarshalJSON already produced it compact, and
+// encoding/json would validate and recompact every byte of it again.
+func (r *ScheduleResponse) encode(w io.Writer) error {
+	head := *r
+	head.Schedule = nil
+	data, err := json.Marshal(&head) // ends in "schedule":null}
+	if err != nil {
+		return err
+	}
+	if len(r.Schedule) == 0 {
+		return writeAll(w, data)
+	}
+	return writeAll(w, bytes.TrimSuffix(data, []byte("null}")), r.Schedule, []byte("}"))
+}
+
+// encode writes v's JSON encoding to w, byte-identical to
+// json.Marshal's, streaming its result through ScheduleResponse.encode.
+func (v *JobView) encode(w io.Writer) error {
+	if v.Result == nil {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		return writeAll(w, data)
+	}
+	head := *v
+	head.Result, head.Error = nil, nil
+	data, err := json.Marshal(&head) // the fields before result, then }
+	if err != nil {
+		return err
+	}
+	if err := writeAll(w, data[:len(data)-1], []byte(`,"result":`)); err != nil {
+		return err
+	}
+	if err := v.Result.encode(w); err != nil {
+		return err
+	}
+	tail := []byte("}")
+	if v.Error != nil {
+		e, err := json.Marshal(v.Error)
+		if err != nil {
+			return err
+		}
+		tail = append(append([]byte(`,"error":`), e...), '}')
+	}
+	return writeAll(w, tail)
+}
+
+// writeAll writes the parts to w in turn.
+func writeAll(w io.Writer, parts ...[]byte) error {
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
