@@ -91,13 +91,15 @@ apiseal:
 	$(GO) test ./tests -run TestExternalConsumerBuilds -count 1
 
 # fuzz runs each fuzz target for FUZZTIME (the CI smoke uses 20s; raise it
-# locally for a real hunt): the seven loader targets, FuzzBSA, the
+# locally for a real hunt): the seven loader targets; FuzzBSA, the
 # scheduler's differential target (both backends against the full-rebuild
 # oracle on generated instances, ablation options and a tie-heavy cost
-# mode), and
-# FuzzTimelineFit and FuzzSoaFit, which check the memoized earliest-fit
-# scans of both slot layouts against a memo-free scan. Go runs one -fuzz
-# target per invocation, hence the ten lines. Seed corpora are committed
+# mode); FuzzReschedule, its warm-start counterpart (both backends
+# reconverging from an adopted schedule on a rescaled system, under a
+# fuzzed dirty frontier, must agree byte for byte); and FuzzTimelineFit
+# and FuzzSoaFit, which check the memoized earliest-fit scans of both
+# slot layouts against a memo-free scan. Go runs one -fuzz target per
+# invocation, hence the eleven lines. Seed corpora are committed
 # under sched/testdata/fuzz, sched/{graph,system,workload}/testdata/fuzz
 # and the golden interchange files; the workload corpora are seeded from
 # the testdata/workloads scenario pack, and the scheduler and fit
@@ -112,6 +114,7 @@ fuzz:
 	$(GO) test ./sched/workload -run '^$$' -fuzz '^FuzzWorkloadSTG$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./sched/workload -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzBSA$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReschedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/schedule -run '^$$' -fuzz '^FuzzTimelineFit$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSoaFit$$' -fuzztime $(FUZZTIME)
 

@@ -164,7 +164,7 @@ func benchInstance(b *testing.B, n int) (*graph.Graph, *system.System) {
 }
 
 // benchEngines are the engine configurations the BSA benchmarks compare:
-// the incremental engine (cone updates, candidate cache, route arena) and
+// the incremental engine (cone updates, finish-time bound, route arena) and
 // the full-rebuild oracle. The oracle runs the full matrix — ~3s/iteration
 // at n=2000 is the slowest point — so every row has an oracle counterpart
 // and cmd/benchjson derives a host-portable speedup ratio for all of them.
@@ -209,10 +209,10 @@ func BenchmarkBSA(b *testing.B) {
 // BenchmarkBSATopologies runs the engine comparison at n=500 on the other
 // paper topologies: the ring (long routes, message-heavy cone updates) and
 // the fully connected network (degree-15 candidate rows, evaluation-heavy
-// sweeps — the candidate cache's strongest case). The 32- and 64-processor
-// rows are the production-size end of the matrix: full=32 doubles every
-// candidate row, and ring=64 stretches routes to 32 hops, so both stress
-// the cone update in ways the 16-processor rows cannot.
+// sweeps, where the finish-time bound settles most entries). The 32- and
+// 64-processor rows are the production-size end of the matrix: full=32
+// doubles every candidate row, and ring=64 stretches routes to 32 hops, so
+// both stress the cone update in ways the 16-processor rows cannot.
 func BenchmarkBSATopologies(b *testing.B) {
 	topos := []struct {
 		name  string
@@ -259,8 +259,8 @@ func BenchmarkBSATopologies(b *testing.B) {
 
 // BenchmarkReschedule measures the quasi-dynamic warm start against the
 // cold run it avoids: on the n=500 fully-connected-16 instance (the
-// candidate cache's evaluation-heavy case, shared with
-// BenchmarkBSATopologies), one processor is removed from a converged
+// evaluation-heavy case, shared with BenchmarkBSATopologies), one
+// processor is removed from a converged
 // schedule and BSA reconverges from the adopted ground truth instead of
 // from scratch. The cold row schedules the post-delta problem with the
 // same options, so the pair is the speed story behind sched.Reschedule.

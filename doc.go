@@ -30,12 +30,12 @@
 //
 // BSA runs on an incremental engine by default, built as a stack of
 // layers that all preserve byte-identical schedules: committed migrations
-// re-derive only their dependency cone (event-driven cone updates); a
-// sweep-level candidate cache memoizes each task's neighbour finish-time
-// row and re-evaluates only the rows and entries a commit's cone stamped
-// (always on — the run's fixpoint sweep costs zero evaluations and zero
-// allocations); the slot state lives in one of two backends, picked from
-// the network's link density; and the hot paths are arena-backed
+// re-derive only their dependency cone (event-driven cone updates); every
+// migration decision evaluates its task's candidate row against the
+// current timelines, and a finish-time lower bound settles without a fit
+// each entry that cannot change the decision; the slot state lives in one
+// of two backends, picked from the network's link density; and the hot
+// paths are arena-backed
 // (offset/length route views, reused evaluation scratch, in-place route
 // normalization, single-search timeline reservations). Candidate
 // evaluation is sequential, because each migration decision reads the

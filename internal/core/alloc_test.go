@@ -47,7 +47,7 @@ func TestEvalMigrationAllocFree(t *testing.T) {
 		for _, p := range bfs {
 			nbrs := sys.Net.Neighbors(p)
 			for _, tk := range en.tasksOn(p) {
-				en.evalRow(tk, nbrs, row, nil, math.Inf(1))
+				en.evalRow(tk, nbrs, row, math.Inf(1))
 			}
 		}
 	}
@@ -57,10 +57,10 @@ func TestEvalMigrationAllocFree(t *testing.T) {
 	}
 }
 
-// TestCachedSweepAllocFree pins the cached sweep step at zero allocations:
-// at a migration fixpoint a full pivot sweep is served entirely from the
-// candidate cache — validity stamps, cached aggregates, the insertion-sort
-// task ordering — without heap traffic.
+// TestCachedSweepAllocFree pins the sweep step at zero allocations: at a
+// migration fixpoint a full pivot sweep — every candidate row evaluated
+// into the reused row buffer and reduced, the insertion-sort task
+// ordering — runs without heap traffic.
 func TestCachedSweepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
@@ -79,13 +79,13 @@ func TestCachedSweepAllocFree(t *testing.T) {
 		t.Fatalf("instance did not reach a fixpoint: %d migrations", res.Migrations)
 	}
 	if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
-		t.Fatalf("cached fixpoint sweep allocates: %v allocs per sweep", allocs)
+		t.Fatalf("fixpoint sweep allocates: %v allocs per sweep", allocs)
 	}
 }
 
 // TestCommitMigrationSteadyStateAllocFree asserts the commit path — save,
-// route surgery through the arena and in-place normalizer, cone update,
-// cache stamping — reaches an allocation-free steady state: ping-ponging
+// route surgery through the arena and in-place normalizer, cone update
+// and its change lists — reaches an allocation-free steady state: ping-ponging
 // one task between two processors reuses every buffer.
 func TestCommitMigrationSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -102,7 +102,7 @@ func TestCommitMigrationSteadyStateAllocFree(t *testing.T) {
 		en.commitMigration(tk, home, false)
 	}
 	for i := 0; i < 8; i++ {
-		pingPong() // warm arenas, strip buffers and cache change lists
+		pingPong() // warm arenas, strip buffers and change lists
 	}
 	if allocs := testing.AllocsPerRun(10, pingPong); allocs > 0.5 {
 		// The arena compacts and timelines grow on amortized schedules, so

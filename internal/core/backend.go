@@ -35,8 +35,9 @@ type backend interface {
 	rebuild()
 	// updateFrom re-derives the slot state after a migration of mig,
 	// processing only the migration's dependency cone. It must update
-	// en.s.Tasks/en.s.Msgs, the epoch-stamped dirty flags and the
-	// candidate cache change lists exactly as a full rebuild diff would.
+	// en.s.Tasks/en.s.Msgs, the epoch-stamped taskChanged flags and the
+	// engine's change lists (updTasks, updMsgs) exactly as a full rebuild
+	// diff would.
 	updateFrom(mig graph.TaskID)
 	// procEarliestFit returns the earliest start >= ready at which dur
 	// units fit on processor p, identical to Timeline.EarliestFit on the

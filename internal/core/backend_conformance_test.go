@@ -36,7 +36,7 @@ type namedSystem struct {
 func conformanceSystems(t *testing.T, rng *rand.Rand, g *graph.Graph, m int) []namedSystem {
 	t.Helper()
 	out := []namedSystem{{"random-m", randomSystem(t, rng, g, m)}}
-	topos := cacheTopologies(rng)
+	topos := paperTopologies(rng)
 	names := make([]string, 0, len(topos))
 	for name := range topos {
 		names = append(names, name)
@@ -301,7 +301,7 @@ func TestWarmFrontierArrivalShiftPropagates(t *testing.T) {
 		if en.s.Tasks[tR] != oldR {
 			t.Fatalf("backend=%s: test shape broken: R's slot moved: %+v -> %+v", be, oldR, en.s.Tasks[tR])
 		}
-		for _, u := range en.cache.updTasks {
+		for _, u := range en.updTasks {
 			if u == tR {
 				t.Fatalf("backend=%s: test shape broken: R entered updTasks", be)
 			}

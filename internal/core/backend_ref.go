@@ -133,6 +133,12 @@ func (b *refBackend) updateFrom(mig graph.TaskID) {
 	}
 }
 
+// markLinkDirty flags l's timeline as diverged this update.
+func (en *engine) markLinkDirty(l system.LinkID) { en.linkDirtied[l] = en.epoch }
+
+// markProcDirty is markLinkDirty for processor timelines.
+func (en *engine) markProcDirty(p system.ProcID) { en.procDirtied[p] = en.epoch }
+
 // processMsg handles one message turn of the update; it reports whether
 // the message must be requeued because stripping surfaced an equal-rank
 // sibling with an earlier In() position.
@@ -201,7 +207,7 @@ func (b *refBackend) processMsg(e graph.EdgeID, rank int) (requeue bool) {
 	if hopsChanged || arr != oldArr {
 		// Each message is re-placed at most once per update (msgDone), so
 		// the change list needs no dedup.
-		en.cache.updMsgs = append(en.cache.updMsgs, e)
+		en.updMsgs = append(en.updMsgs, e)
 	}
 	en.msgDone[e] = en.epoch
 	return false
@@ -246,7 +252,7 @@ func (b *refBackend) processTask(u graph.TaskID, rank int) {
 		}
 		// taskChanged is set in exactly this one place, at most once per
 		// task per update, so the list needs no dedup.
-		en.cache.updTasks = append(en.cache.updTasks, u)
+		en.updTasks = append(en.updTasks, u)
 		for _, e := range en.g.Out(u) {
 			en.queueMsg(e)
 		}

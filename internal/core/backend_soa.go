@@ -464,11 +464,12 @@ type soaBackend struct {
 	taskKey []int64
 	msgKey  []int64
 
-	// The dirty-frontier refinement of the per-timeline divergence flags:
-	// the time span [mutLo, mutHi) covering every slot REMOVED (explicitly
-	// or by eviction) from the resource this epoch. The per-timeline flag
-	// alone forces every later item on a diverged timeline through a fit
-	// recompute, and profiles show most of those come back unchanged.
+	// The dirty-frontier refinement of the reference backend's
+	// per-timeline divergence flags: the time span [mutLo, mutHi) covering
+	// every slot REMOVED (explicitly or by eviction) from the resource this
+	// epoch. A per-timeline flag alone forces every later item on a
+	// diverged timeline through a fit recompute, and profiles show most of
+	// those come back unchanged.
 	//
 	// Removals are the only mutations that can move an unchanged-input
 	// item's fit. An insertion by an earlier-keyed item can never perturb
@@ -694,16 +695,19 @@ func (b *soaBackend) updateFrom(mig graph.TaskID) {
 	}
 }
 
-// processMsg handles one queued message. The same cheap dirty test the
-// reference uses proves most queued items unchanged — and here that proof
-// finishes the item outright: the old slots were never removed, so there
-// is no restore to run. A dirty item is recomputed read-only against the
-// visible slots and mutates only on actual divergence: recomputation is
-// always sound (the visible subsequence equals the rebuild-time timeline
-// at this item's turn), and an unchanged result means the old slots
-// already ARE the placement. The dirty flags cover every mutation source —
-// removals, insertions and evictions all pass through divergeProc or
-// divergeLink — so an unflagged item's slots are guaranteed intact.
+// processMsg handles one queued message. A cheap dirty test proves most
+// queued items unchanged — and here that proof finishes the item
+// outright: the old slots were never removed, so there is no restore to
+// run. A dirty item is recomputed read-only against the visible slots and
+// mutates only on actual divergence: recomputation is always sound (the
+// visible subsequence equals the rebuild-time timeline at this item's
+// turn), and an unchanged result means the old slots already ARE the
+// placement. The dirty test reads every way a placement can move:
+// msgEvict (one of the message's hops was evicted), taskChanged (its
+// sender's slot moved; msgReady keeps one later move clean) and the
+// linkClean windows (a removal that a hop's fit could see). Insertions
+// need no test: they evict on overlap, and otherwise only shrink gaps the
+// old fits already rejected.
 func (b *soaBackend) processMsg(e graph.EdgeID) {
 	en := b.en
 	vis := b.msgKey[e]
@@ -833,7 +837,6 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 			for h := range hops {
 				old, nh := &sm.Hops[h], &hops[h]
 				if *nh == *old {
-					b.divergeLink(nh.Link)
 					continue
 				}
 				tl := &b.links[nh.Link]
@@ -846,7 +849,6 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 					}
 					b.insertEvictLink(nh.Link, nh.Start, nh.End, schedule.MsgOwner(e, h), vis)
 				}
-				b.divergeLink(nh.Link)
 			}
 		} else {
 			for h := range sm.Hops {
@@ -861,20 +863,18 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 					}
 					b.noteLinkMut(hop.Link, hop.Start, hop.End, covS, covE, vis, vis)
 				}
-				b.divergeLink(hop.Link)
 			}
 			for h := range hops {
 				hop := &hops[h]
 				b.insertEvictLink(hop.Link, hop.Start, hop.End, schedule.MsgOwner(e, h), vis)
-				b.divergeLink(hop.Link)
 			}
 		}
 		sm.Hops = append(sm.Hops[:0], hops...)
-		en.cache.updMsgs = append(en.cache.updMsgs, e)
+		en.updMsgs = append(en.updMsgs, e)
 	} else if arr != oldArr {
 		// Arrival moved with identical hops: an intra-processor message
 		// tracking its sender's slot.
-		en.cache.updMsgs = append(en.cache.updMsgs, e)
+		en.updMsgs = append(en.updMsgs, e)
 	}
 	sm.Arrival = arr
 	sm.Placed = true
@@ -930,7 +930,6 @@ func (b *soaBackend) processTask(u graph.TaskID) {
 			if i := tl.findOwner(st.Start, schedule.TaskOwner(u)); i >= 0 &&
 				tl.tryMoveSlot(i, nw.Start, nw.End, schedule.TaskOwner(u), vis) {
 				b.noteProcMut(st.Proc, st.Start, st.End, nw.Start, nw.End, vis, vis)
-				b.divergeProc(st.Proc)
 				moved = true
 			}
 		}
@@ -942,16 +941,14 @@ func (b *soaBackend) processTask(u graph.TaskID) {
 				}
 				b.noteProcMut(st.Proc, st.Start, st.End, covS, covE, vis, vis)
 			}
-			b.divergeProc(st.Proc)
 			b.insertEvictProc(p, nw.Start, nw.End, schedule.TaskOwner(u), vis)
-			b.divergeProc(p)
 		}
 		*st = nw
 		en.taskChanged[u] = en.epoch
 		if nw.End > en.updEndMax {
 			en.updEndMax, en.updEndArg = nw.End, u
 		}
-		en.cache.updTasks = append(en.cache.updTasks, u)
+		en.updTasks = append(en.updTasks, u)
 		for _, e := range en.g.Out(u) {
 			// An intra-processor out-message has no hops to fit and no
 			// slots to evict — its full processing reduces to copying the
@@ -985,7 +982,7 @@ func (b *soaBackend) settleEmptyMsg(e graph.EdgeID, arr float64) {
 		to := en.g.Edge(e).To
 		en.drtTouched[to] = en.epoch
 		en.queueTask(to)
-		en.cache.updMsgs = append(en.cache.updMsgs, e)
+		en.updMsgs = append(en.updMsgs, e)
 	}
 }
 
@@ -1188,26 +1185,6 @@ func ivsClean(lo, hi []float64, key []int64, ready, oldStart, oldEnd float64, vi
 		}
 	}
 	return true
-}
-
-// divergeProc marks p's slot content as diverged this update (flag +
-// cache change list, like the reference's markProcDirty). Unlike the
-// reference's strip-queueing it queues nobody: removals queue affected
-// later items precisely at their noteProcMut site, insertions cannot
-// perturb an unchanged-input item's fit (they evict on overlap, which
-// is a removal, and only shrink gaps the old fit already rejected), and
-// evictions queue their victim directly.
-func (b *soaBackend) divergeProc(p system.ProcID) {
-	if b.en.procDirtied[p] != b.en.epoch {
-		b.en.markProcDirty(p)
-	}
-}
-
-// divergeLink is divergeProc for a link timeline.
-func (b *soaBackend) divergeLink(l system.LinkID) {
-	if b.en.linkDirtied[l] != b.en.epoch {
-		b.en.markLinkDirty(l)
-	}
 }
 
 // insertEvictProc inserts a task slot, evicting (and queueing) any

@@ -220,7 +220,7 @@ func checkBoundEntries(t *testing.T, label string, en *engine) {
 		tk := graph.TaskID(i)
 		nbrs := en.sys.Net.Neighbors(en.assign[tk])
 		full, bounded := full[:len(nbrs)], bounded[:len(nbrs)]
-		en.evalRow(tk, nbrs, full, nil, inf)
+		en.evalRow(tk, nbrs, full, inf)
 		ins := en.gatherIns(tk)
 		for ni, a := range nbrs {
 			lb := drtBound(ins, a.Proc, a.Link) + en.sys.Exec[tk][a.Proc]*en.g.Task(tk).Cost
@@ -230,7 +230,7 @@ func checkBoundEntries(t *testing.T, label string, en *engine) {
 			}
 		}
 		curFT := en.s.Tasks[tk].End
-		en.evalRow(tk, nbrs, bounded, nil, settleLine(curFT, len(nbrs)))
+		en.evalRow(tk, nbrs, bounded, settleLine(curFT, len(nbrs)))
 		fb, fy, fv, fvy := en.reduceRow(tk, nbrs, full)
 		bb, by, bv, bvy := en.reduceRow(tk, nbrs, bounded)
 		if a, b := migrationTarget(curFT, fb, fy, fv, fvy, false), migrationTarget(curFT, bb, by, bv, bvy, false); a != b {
@@ -264,12 +264,12 @@ func TestBoundSkipsShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := Schedule(g, sys, Options{})
+	inc, err := Schedule(g, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if share := float64(cached.BoundSkips) / float64(cached.Evaluations); share < 0.8 {
-		t.Fatalf("bound settled %d of %d entries (%.2f), want >= 0.8", cached.BoundSkips, cached.Evaluations, share)
+	if share := float64(inc.BoundSkips) / float64(inc.Evaluations); share < 0.8 {
+		t.Fatalf("bound settled %d of %d entries (%.2f), want >= 0.8", inc.BoundSkips, inc.Evaluations, share)
 	}
 	oracle, err := Schedule(g, sys, Options{UseFullRebuild: true})
 	if err != nil {

@@ -58,12 +58,12 @@ type Options struct {
 
 	// UseFullRebuild selects the original full-rebuild engine as a
 	// correctness oracle: every committed migration reconstructs the whole
-	// timeline, a guard rollback rebuilds once more, and every sweep
-	// re-evaluates every (task, neighbour) candidate. The default
-	// incremental engine re-derives only the dependency cone a migration
-	// can affect, rolls back by restoring arena-saved ground truth, and
-	// re-evaluates only the candidate rows a commit dirtied (see
-	// candCache). Both engines produce byte-identical schedules and
+	// timeline, a guard rollback rebuilds once more, and every candidate
+	// entry is evaluated in full. The default incremental engine
+	// re-derives only the dependency cone a migration can affect, rolls
+	// back by restoring arena-saved ground truth, and settles candidate
+	// entries that cannot change a decision by a finish-time bound (see
+	// settleLine). Both engines produce byte-identical schedules and
 	// migration traces for identical seeds; the oracle exists for
 	// equivalence tests and benchmarks.
 	UseFullRebuild bool
@@ -135,14 +135,6 @@ type Result struct {
 	// RestoredBest reports whether the final elitism pass had to rewind to
 	// an earlier, shorter state.
 	RestoredBest bool
-	// CacheHits counts candidate rows served from the sweep-level cache
-	// with zero re-evaluation, CachePartials rows refreshed by
-	// re-evaluating only the entries a commit stamped, and CacheMisses
-	// rows evaluated in full; all stay zero on the full-rebuild oracle,
-	// which has no cache.
-	CacheHits     int
-	CachePartials int
-	CacheMisses   int
 	// MigrationTrace is the commit-attempt sequence, recorded only when
 	// Options.RecordTrace is set.
 	MigrationTrace []MigrationStep
@@ -214,10 +206,12 @@ const DefaultGuardSlack = 0.05
 
 // vipSlack is the relative finish-time regression a task accepts when
 // following its VIP to a neighbour. The paper's prose describes following
-// the VIP even when the finish time "does not improve"; a bounded tolerance
-// keeps that behaviour from chasing VIPs onto heavily congested processors
-// (the migration guard and the final elitism pass bound the global damage
-// either way).
+// the VIP even when the finish time "does not improve". At 0 there is no
+// tolerance: a task follows its VIP only when no neighbour improves its
+// finish time and the VIP's neighbour ties it within cmpEps. In the
+// measurements of ROADMAP.md item 8, this tie-only rule fired 0 times in
+// 360 generated runs; in the ablation, a tolerance of 0.1 cost +1.0% mean
+// schedule length and the unbounded literal reading +14.5%.
 const vipSlack = 0.0
 
 // converge runs breadth-first migration sweeps from root until no task
@@ -263,11 +257,6 @@ func converge(ctx context.Context, en *engine, root system.ProcID, ds *dirtySet,
 	res.Rebuilds = en.rebuilds
 	res.Placements = en.placements
 	res.MsgPlacements = en.msgPlaces
-	if en.cache != nil {
-		res.CacheHits = en.cache.hits
-		res.CachePartials = en.cache.partial
-		res.CacheMisses = en.cache.misses
-	}
 	res.Schedule = en.finalSchedule()
 	return nil
 }
@@ -311,25 +300,24 @@ func sweepOnce(ctx context.Context, en *engine, bfs []system.ProcID, ds *dirtySe
 }
 
 // step takes the migration decision for task t on pivot. Its candidate
-// row — the finish time on each neighbour — comes from the candidate
-// cache, or is evaluated afresh on the full-rebuild oracle. Every decision
-// therefore sees exactly the values a fresh evaluation would produce. It
-// reports whether a migration was attempted and kept.
+// row — the finish time on each neighbour — is evaluated against the
+// current timelines. The incremental engine settles the entries that
+// cannot change the decision by their bound (see settleLine); the
+// full-rebuild oracle evaluates every entry in full. It reports whether a
+// migration was attempted and kept.
 func (en *engine) step(t graph.TaskID, pivot system.ProcID, neighbors []system.Adj, opt Options, res *Result) bool {
-	var bestFT, vipFT float64
-	var bestY, vipY system.ProcID
-	if c := en.cache; c != nil {
-		en.ensureRow(t, pivot, neighbors)
-		bestFT, bestY, vipFT, vipY = c.bestFT[t], c.bestY[t], c.vipFT[t], c.vipY[t]
-	} else {
-		if cap(en.rowBuf) < len(neighbors) {
-			en.rowBuf = make([]float64, len(neighbors))
-		}
-		row := en.rowBuf[:len(neighbors)]
-		en.evalRow(t, neighbors, row, nil, math.Inf(1))
-		bestFT, bestY, vipFT, vipY = en.reduceRow(t, neighbors, row)
+	if cap(en.rowBuf) < len(neighbors) {
+		en.rowBuf = make([]float64, len(neighbors))
 	}
-	y := migrationTarget(en.s.Tasks[t].End, bestFT, bestY, vipFT, vipY, !opt.DisableVIPFollow)
+	row := en.rowBuf[:len(neighbors)]
+	curFT := en.s.Tasks[t].End
+	settle := math.Inf(1)
+	if !en.cfg.fullRebuild {
+		settle = settleLine(curFT, len(neighbors))
+	}
+	en.evalRow(t, neighbors, row, settle)
+	bestFT, bestY, vipFT, vipY := en.reduceRow(t, neighbors, row)
+	y := migrationTarget(curFT, bestFT, bestY, vipFT, vipY, !opt.DisableVIPFollow)
 	if y < 0 {
 		return false
 	}
@@ -364,6 +352,34 @@ func migrationTarget(curFT, bestFT float64, bestY system.ProcID, vipFT float64, 
 		return vipY
 	}
 	return -1
+}
+
+// reduceRow folds one row of candidate finish times into the migration
+// decision's aggregates (see rowScan), with the neighbour hosting t's VIP.
+func (en *engine) reduceRow(t graph.TaskID, neighbors []system.Adj, row []float64) (bestFT float64, bestY system.ProcID, vipFT float64, vipY system.ProcID) {
+	vipProc := system.ProcID(-1)
+	if _, vip := en.s.DRT(t); vip >= 0 {
+		vipProc = en.assign[vip]
+	}
+	return rowScan(neighbors, row, vipProc)
+}
+
+// rowScan reduces a candidate row to the strictly-best neighbour (first
+// wins ties within cmpEps, as in BFS adjacency order) and the entry of
+// neighbour vipProc, if any.
+func rowScan(neighbors []system.Adj, row []float64, vipProc system.ProcID) (bestFT float64, bestY system.ProcID, vipFT float64, vipY system.ProcID) {
+	bestFT = math.Inf(1)
+	bestY, vipY = -1, -1
+	for ni, a := range neighbors {
+		ft := row[ni]
+		if ft < bestFT-cmpEps {
+			bestFT, bestY = ft, a.Proc
+		}
+		if a.Proc == vipProc {
+			vipFT, vipY = ft, a.Proc
+		}
+	}
+	return bestFT, bestY, vipFT, vipY
 }
 
 // settleLine is the finish time from which a candidate entry of a task

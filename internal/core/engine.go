@@ -61,10 +61,6 @@ type engine struct {
 	// allocations).
 	norm *system.RouteNormalizer
 
-	// cache is the sweep-level candidate cache; nil only in the
-	// full-rebuild oracle engine, which evaluates every row afresh.
-	cache *candCache
-
 	// curLen caches s.Length() after every (re)build so the guard and
 	// elitism checks do not rescan all tasks. lenArg is the task realizing
 	// it; updEndMax/updEndArg track the largest end among tasks re-placed
@@ -94,13 +90,11 @@ type engine struct {
 	touchedEdges []graph.EdgeID
 
 	// Reusable buffers of candidate evaluation (see evalRow) and of the
-	// sweep: the oracle's per-decision row, the cached engine's stale-entry
-	// mask and tasksOn's result.
-	sc       *evalScratch
-	inEvals  []inEdgeEval
-	rowBuf   []float64
-	staleBuf []bool
-	taskBuf  []graph.TaskID
+	// sweep: the per-decision candidate row and tasksOn's result.
+	sc      *evalScratch
+	inEvals []inEdgeEval
+	rowBuf  []float64
+	taskBuf []graph.TaskID
 
 	// Event-driven update state (see updateFrom). All per-update flags are
 	// epoch-stamped so an update starts with a single counter increment
@@ -123,6 +117,13 @@ type engine struct {
 	linkStripAt  []int64
 	linkDirtied  []uint32
 	oldHops      []schedule.Hop // scratch copy for placement comparison
+
+	// Change lists of the current update: the tasks whose slot changed and
+	// the messages whose hop schedule or arrival changed, each entered
+	// once. After a kept commit they are the commit's dependency cone,
+	// which the warm frontier's expand reads.
+	updTasks []graph.TaskID
+	updMsgs  []graph.EdgeID
 
 	// Elitism: the best (assign, routes) state seen so far, restored at the
 	// end of the run. Migrations may regress the schedule length within the
@@ -213,7 +214,6 @@ func newEngineCore(g *graph.Graph, sys *system.System, serial []graph.TaskID, cf
 		en.linkStripped = make([]uint32, sys.Net.NumLinks())
 		en.linkStripAt = make([]int64, sys.Net.NumLinks())
 		en.linkDirtied = make([]uint32, sys.Net.NumLinks())
-		en.cache = newCandCache(g.NumTasks(), g.NumEdges(), sys.Net.NumProcs(), sys.Net.NumLinks())
 	}
 	en.sc = newEvalScratch(sys.Net.NumLinks())
 	en.be = newBackend(en)
@@ -361,7 +361,8 @@ func (en *engine) updateFrom(mig graph.TaskID) {
 	en.epoch++
 	en.migTask = mig
 	en.pending = 0
-	en.cache.beginUpdate()
+	en.updTasks = en.updTasks[:0]
+	en.updMsgs = en.updMsgs[:0]
 	for _, e := range en.g.In(mig) {
 		en.queueMsg(e)
 	}
@@ -376,25 +377,6 @@ func (en *engine) updateFrom(mig graph.TaskID) {
 	} else if en.updEndMax > en.curLen {
 		en.curLen, en.lenArg = en.updEndMax, en.updEndArg
 	}
-}
-
-// markLinkDirty flags l's timeline as diverged this update and records it
-// in the candidate cache's change list.
-func (en *engine) markLinkDirty(l system.LinkID) {
-	if en.linkDirtied[l] == en.epoch {
-		return
-	}
-	en.linkDirtied[l] = en.epoch
-	en.cache.updLinks = append(en.cache.updLinks, l)
-}
-
-// markProcDirty is markLinkDirty for processor timelines.
-func (en *engine) markProcDirty(p system.ProcID) {
-	if en.procDirtied[p] == en.epoch {
-		return
-	}
-	en.procDirtied[p] = en.epoch
-	en.cache.updProcs = append(en.cache.updProcs, p)
 }
 
 func hopsEqual(a, b []schedule.Hop) bool {
@@ -581,14 +563,11 @@ func drtBound(ins []inEdgeEval, y system.ProcID, link system.LinkID) float64 {
 }
 
 // evalRow writes into row[i] the finish time task t would obtain on
-// neighbors[i], its current processor's neighbour, for every i whose
-// stale[i] is set (every i when stale is nil). It is the paper's local
+// neighbors[i], its current processor's neighbour. It is the paper's local
 // evaluation: each incoming message keeps its current hop schedule up to
 // the point where it must be extended (or truncated) to reach the
 // neighbour, and the new hop takes the earliest insertion slot on the
-// connecting link. t's in-edges are gathered once per call however many
-// entries are stale, so the cache's partial refresh and the oracle's full
-// row share this one routine.
+// connecting link. t's in-edges are gathered once per row.
 //
 // Each entry is bounded before any fit: drtBound plus the execution time
 // on the neighbour. Every fit starts at or after its ready time and
@@ -597,15 +576,12 @@ func drtBound(ins []inEdgeEval, y system.ProcID, link system.LinkID) float64 {
 // as +Inf without a fit; settleLine places settle where such an entry
 // cannot change step's decision, and the oracle passes +Inf to evaluate
 // every entry. Both kinds of entry count as evaluations.
-func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64, stale []bool, settle float64) {
+func (en *engine) evalRow(t graph.TaskID, neighbors []system.Adj, row []float64, settle float64) {
 	ins := en.gatherIns(t)
 	sc := en.sc
 	taskCost := en.g.Task(t).Cost
 	execRow := en.sys.Exec[t]
 	for ni, a := range neighbors {
-		if stale != nil && !stale[ni] {
-			continue
-		}
 		en.evaluations++
 		y, link := a.Proc, a.Link
 		dur := execRow[y] * taskCost
@@ -669,9 +645,6 @@ func (en *engine) commitMigration(t graph.TaskID, y system.ProcID, guard bool) b
 		kept = false
 	}
 	if kept {
-		if en.cache != nil {
-			en.cache.stampCommit()
-		}
 		en.noteState()
 	}
 	return kept

@@ -183,7 +183,7 @@ func TestEvalMigrationMatchesCommit(t *testing.T) {
 		t.Fatal("P1 is not a neighbour of the pivot")
 	}
 	row := make([]float64, len(nbrs))
-	en.evalRow(4, nbrs, row, nil, math.Inf(1))
+	en.evalRow(4, nbrs, row, math.Inf(1))
 	ft := row[ni]
 	pred := en.g.Edge(en.g.In(4)[0]).From
 	if predEnd := en.s.Tasks[pred].End; predEnd <= 0 || ft <= predEnd {

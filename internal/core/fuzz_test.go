@@ -120,8 +120,21 @@ func tieDAG(rng *rand.Rand, n int, extraProb float64) *graph.Graph {
 		func() float64 { return float64(rng.Intn(3)) })
 }
 
-// checkFuzzBSA is FuzzBSA's property for one decoded instance.
-func checkFuzzBSA(t *testing.T, seed int64, nRaw, mRaw, topo uint8, hetero bool, ablation uint8, ties bool) {
+// fuzzCase is one instance decoded from FuzzBSA's arguments, with the
+// options to run it under and the generator left where decoding stopped.
+type fuzzCase struct {
+	rng   *rand.Rand
+	g     *graph.Graph
+	sys   *system.System
+	opt   Options
+	label string
+}
+
+// decodeFuzzCase decodes FuzzBSA's arguments: a seeded random DAG of up
+// to 40 tasks on a 2–8 processor network of one topology family, with or
+// without heterogeneity (never in the tie-heavy mode, which keeps a
+// uniform system), under one combination of ablation options.
+func decodeFuzzCase(t *testing.T, seed int64, nRaw, mRaw, topo uint8, hetero bool, ablation uint8, ties bool) fuzzCase {
 	rng := rand.New(rand.NewSource(seed))
 	var g *graph.Graph
 	if ties {
@@ -142,24 +155,94 @@ func checkFuzzBSA(t *testing.T, seed int64, nRaw, mRaw, topo uint8, hetero bool,
 	opt.Seed, opt.RecordTrace = seed, true
 	label := fmt.Sprintf("seed=%d n=%d m=%d topo=%d hetero=%v ties=%v ablation=%+v",
 		seed, g.NumTasks(), nw.NumProcs(), topo%fuzzTopologies, hetero, ties, fuzzAblation(ablation))
-	oracleOpt := opt
+	return fuzzCase{rng: rng, g: g, sys: sys, opt: opt, label: label}
+}
+
+// checkFuzzBSA is FuzzBSA's property for one decoded instance.
+func checkFuzzBSA(t *testing.T, seed int64, nRaw, mRaw, topo uint8, hetero bool, ablation uint8, ties bool) {
+	fc := decodeFuzzCase(t, seed, nRaw, mRaw, topo, hetero, ablation, ties)
+	oracleOpt := fc.opt
 	oracleOpt.UseFullRebuild = true
-	oracle, err := Schedule(g, sys, oracleOpt)
+	oracle, err := Schedule(fc.g, fc.sys, oracleOpt)
 	if err != nil {
-		t.Fatalf("%s oracle: %v", label, err)
+		t.Fatalf("%s oracle: %v", fc.label, err)
 	}
-	assertFeasible(t, label+" oracle", oracle)
+	assertFeasible(t, fc.label+" oracle", oracle)
 	for _, be := range conformanceBackends {
-		l := label + " backend=" + be
-		beOpt := opt
+		l := fc.label + " backend=" + be
+		beOpt := fc.opt
 		beOpt.backend = be
-		r, err := Schedule(g, sys, beOpt)
+		r, err := Schedule(fc.g, fc.sys, beOpt)
 		if err != nil {
 			t.Fatalf("%s: %v", l, err)
 		}
 		assertSerializedIdentical(t, l, oracle, r)
 		assertTracesIdentical(t, l, oracle, r)
 		assertFeasible(t, l, r)
+	}
+}
+
+// FuzzReschedule is the warm path's differential fuzz target. The first
+// seven arguments decode an instance as in FuzzBSA, which is scheduled
+// cold. Its schedule is then adopted, previous slots included, on a
+// post-delta system in which rescale%8 execution factors are scaled by
+// 0.5–2 (in quarter steps, so tie-heavy costs stay exact), and bit i%64
+// of dirty puts task i on the initial frontier. The adoption diff adds
+// every task the rescaling moved. Both backends must reconverge to
+// byte-identical schedules and migration traces (the warm path has no
+// full-rebuild oracle), and every schedule must validate and replay.
+//
+//	go test ./internal/core -run '^$' -fuzz '^FuzzReschedule$' -fuzztime 10m
+func FuzzReschedule(f *testing.F) {
+	for topo := uint8(0); topo < fuzzTopologies; topo++ {
+		f.Add(int64(topo), uint8(24), uint8(6), topo, topo%2 == 0, uint8(0), false, uint64(0x9249249249249249), uint8(3))
+		f.Add(int64(100+topo), uint8(39), uint8(2), topo, topo%2 == 1, uint8(1+3*topo), false, uint64(0), uint8(7))
+		f.Add(int64(200+topo), uint8(30), uint8(3+topo), topo, false, uint8(2*topo), true, uint64(1)<<topo, uint8(topo))
+	}
+	f.Fuzz(checkFuzzReschedule)
+}
+
+// checkFuzzReschedule is FuzzReschedule's property for one decoded
+// instance.
+func checkFuzzReschedule(t *testing.T, seed int64, nRaw, mRaw, topo uint8, hetero bool, ablation uint8, ties bool, dirty uint64, rescale uint8) {
+	fc := decodeFuzzCase(t, seed, nRaw, mRaw, topo, hetero, ablation, ties)
+	cold, err := Schedule(fc.g, fc.sys, fc.opt)
+	if err != nil {
+		t.Fatalf("%s cold: %v", fc.label, err)
+	}
+	sys := &system.System{Net: fc.sys.Net, Exec: make([][]float64, len(fc.sys.Exec)), Comm: fc.sys.Comm}
+	for i, row := range fc.sys.Exec {
+		sys.Exec[i] = append([]float64(nil), row...)
+	}
+	for k := 0; k < int(rescale%8); k++ {
+		row := sys.Exec[fc.rng.Intn(len(sys.Exec))]
+		row[fc.rng.Intn(len(row))] *= 0.5 + 0.25*float64(fc.rng.Intn(7))
+	}
+	var frontier []graph.TaskID
+	for i := 0; i < fc.g.NumTasks(); i++ {
+		if dirty>>(i%64)&1 != 0 {
+			frontier = append(frontier, graph.TaskID(i))
+		}
+	}
+	warm := warmFromCold(cold, frontier)
+	warm.PrevTasks, warm.PrevMsgs = cold.Schedule.Tasks, cold.Schedule.Msgs
+	label := fmt.Sprintf("%s dirty=%#x rescale=%d", fc.label, dirty, rescale%8)
+	var base *Result
+	for _, be := range conformanceBackends {
+		l := label + " backend=" + be
+		opt := fc.opt
+		opt.backend = be
+		r, err := Reschedule(fc.g, sys, warm, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", l, err)
+		}
+		assertFeasible(t, l, r)
+		if base == nil {
+			base = r
+			continue
+		}
+		assertSerializedIdentical(t, l, base, r)
+		assertTracesIdentical(t, l, base, r)
 	}
 }
 

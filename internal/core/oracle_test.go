@@ -37,9 +37,9 @@ func assertSchedulesIdentical(t *testing.T, label string, a, b *Result) {
 
 // TestIncrementalMatchesOracle is the central equivalence property: across
 // random graphs, random connected topologies and seeds, the incremental
-// engine (cone updates, snapshot rollback and the sweep-level candidate
-// cache, on both backends) must produce byte-identical schedules to the
-// full-rebuild oracle.
+// engine (cone updates, snapshot rollback and the finish-time bound on
+// candidate entries, on both backends) must produce byte-identical
+// schedules to the full-rebuild oracle.
 func TestIncrementalMatchesOracle(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -12,9 +12,9 @@ import (
 	"repro/sched/system"
 )
 
-// cacheTopologies are the four topology families of the paper's
+// paperTopologies are the four topology families of the paper's
 // evaluation, at a size suitable for property testing.
-func cacheTopologies(rng *rand.Rand) map[string]*system.Network {
+func paperTopologies(rng *rand.Rand) map[string]*system.Network {
 	build := func(nw *system.Network, err error) *system.Network {
 		if err != nil {
 			panic(err)
@@ -29,14 +29,15 @@ func cacheTopologies(rng *rand.Rand) map[string]*system.Network {
 	}
 }
 
-// TestCandidateCacheEquivalence is the cache's invalidation property test:
-// across regular and random graph families, all four topology families and
-// heterogeneity on/off, the cached engine must produce a byte-identical
-// serialized schedule AND an identical step-by-step migration trace to the
-// full-rebuild oracle, which evaluates every row afresh. A single
-// wrongly-kept cache row would divert the trace at the first affected
-// decision, so trace equality localizes invalidation bugs far better than
-// end-state checks.
+// TestCandidateCacheEquivalence is the incremental engine's trajectory
+// property test: across regular and random graph families, all four
+// topology families and heterogeneity on/off, it must produce a
+// byte-identical serialized schedule AND an identical step-by-step
+// migration trace to the full-rebuild oracle, which rebuilds every
+// timeline and evaluates every candidate entry in full. A stale cone
+// update or a wrongly settled entry would divert the trace at the first
+// affected decision, so trace equality localizes such bugs far better
+// than end-state checks.
 func TestCandidateCacheEquivalence(t *testing.T) {
 	for _, kind := range []gen.Kind{gen.GaussElim, gen.Random} {
 		for seed := int64(0); seed < 3; seed++ {
@@ -45,7 +46,7 @@ func TestCandidateCacheEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, nw := range cacheTopologies(rng) {
+			for name, nw := range paperTopologies(rng) {
 				for _, heterogeneous := range []bool{false, true} {
 					label := fmt.Sprintf("kind=%v seed=%d topo=%s hetero=%v", kind, seed, name, heterogeneous)
 					var sys *system.System
@@ -57,7 +58,7 @@ func TestCandidateCacheEquivalence(t *testing.T) {
 					} else {
 						sys = system.NewUniform(nw, g.NumTasks(), g.NumEdges())
 					}
-					cached, err := Schedule(g, sys, Options{Seed: seed, RecordTrace: true})
+					inc, err := Schedule(g, sys, Options{Seed: seed, RecordTrace: true})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -65,8 +66,8 @@ func TestCandidateCacheEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					assertTracesIdentical(t, label, cached, oracle)
-					assertSerializedIdentical(t, label, cached, oracle)
+					assertTracesIdentical(t, label, inc, oracle)
+					assertSerializedIdentical(t, label, inc, oracle)
 				}
 			}
 		}
@@ -104,55 +105,60 @@ func assertSerializedIdentical(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestCandidateCacheCountsConsistent checks the cache's bookkeeping: a
-// cached run classifies its row visits and never evaluates more
-// candidates than the oracle, which follows the same trajectory and
-// evaluates every row of every visit in full.
+// TestCandidateCacheCountsConsistent checks the evaluation counters: the
+// incremental engine and the oracle follow the same trajectory and both
+// settle every entry of every row they visit, so their Evaluations agree;
+// only the incremental engine settles entries by the bound, some of them
+// and never more than it settled in all.
 func TestCandidateCacheCountsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnectedDAG(rng, 60, 0.12)
 	sys := randomSystem(t, rng, g, 6)
-	cached, err := Schedule(g, sys, Options{Seed: 7})
+	inc, err := Schedule(g, sys, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cached.CacheMisses == 0 {
-		t.Fatal("a fresh run must miss at least once per task visited")
 	}
 	oracle, err := Schedule(g, sys, Options{Seed: 7, UseFullRebuild: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oracle.CacheHits != 0 || oracle.CachePartials != 0 || oracle.CacheMisses != 0 {
-		t.Fatalf("oracle run reported cache traffic: %+v", oracle)
+	if inc.Evaluations != oracle.Evaluations {
+		t.Fatalf("incremental engine settled %d entries, oracle %d", inc.Evaluations, oracle.Evaluations)
 	}
-	if cached.Evaluations > oracle.Evaluations {
-		t.Fatalf("cache increased evaluations: %d > %d", cached.Evaluations, oracle.Evaluations)
+	if oracle.BoundSkips != 0 {
+		t.Fatalf("oracle settled %d entries by the bound, want 0", oracle.BoundSkips)
+	}
+	if inc.BoundSkips <= 0 || inc.BoundSkips > inc.Evaluations {
+		t.Fatalf("bound settled %d of %d entries, want some and at most all", inc.BoundSkips, inc.Evaluations)
 	}
 }
 
 // TestCachedFixpointSweepServesAllRows drives a run to its fixpoint and
-// then replays one more sweep by hand: with no commits in between, every
-// row the sweep consults must be served from the cache (all hits, zero
-// evaluations) — the O(dirty) property with an empty dirty set.
+// then replays one more sweep by hand: with no commits in between it
+// migrates nothing, yet it settles every entry of every row it visits,
+// some of them by the bound alone.
 func TestCachedFixpointSweepServesAllRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomConnectedDAG(rng, 50, 0.15)
 	sys := randomSystem(t, rng, g, 5)
 	en, bfs, opt := fixpointEngine(t, g, sys)
+	entries := 0
+	for _, p := range bfs {
+		entries += len(en.tasksOn(p)) * len(sys.Net.Neighbors(p))
+	}
 	res := &Result{}
-	hits, evals := en.cache.hits, en.evaluations
+	evals, skips := en.evaluations, en.boundSkips
 	if err := sweepOnce(context.Background(), en, bfs, nil, opt, res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Migrations != 0 {
 		t.Fatalf("fixpoint sweep migrated %d tasks", res.Migrations)
 	}
-	if en.evaluations != evals {
-		t.Fatalf("fixpoint sweep evaluated %d candidates, want 0", en.evaluations-evals)
+	if got := en.evaluations - evals; got != entries {
+		t.Fatalf("fixpoint sweep settled %d entries, want all %d", got, entries)
 	}
-	if en.cache.hits == hits {
-		t.Fatal("fixpoint sweep served no cached rows")
+	if en.boundSkips == skips {
+		t.Fatal("fixpoint sweep settled no entry by the bound")
 	}
 }
 

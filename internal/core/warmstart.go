@@ -7,9 +7,9 @@
 // — and runs the same breadth-first migration sweeps restricted to a
 // dirty frontier: the tasks a problem delta actually touched. After every
 // kept migration the frontier grows by exactly the commit's dependency
-// cone, read off the candidate cache's commit-stamped change lists, so
-// reconvergence evaluates candidates only where the delta propagates
-// instead of re-deciding the whole system.
+// cone, read off the cone update's change lists, so reconvergence
+// evaluates candidates only where the delta propagates instead of
+// re-deciding the whole system.
 
 package core
 
@@ -60,8 +60,8 @@ func Reschedule(g *graph.Graph, sys *system.System, warm WarmStart, opt Options)
 // RescheduleContext adopts warm's (serial, assign, routes) ground truth
 // into engine timelines, marks the dirty frontier, and reconverges with
 // breadth-first migration sweeps restricted to that frontier. The warm
-// path always uses the incremental engine — the candidate cache's
-// commit-stamped change lists are what make frontier expansion sound — so
+// path always uses the incremental engine — the cone update's change
+// lists are what make frontier expansion sound — so
 // Options.UseFullRebuild is ignored. Result.Serial reports the adopted
 // serial order; Result.DirtyTasks the frontier size after adoption
 // diffing.
@@ -215,7 +215,7 @@ func (ds *dirtySet) clear(t graph.TaskID) {
 }
 
 // expand grows the frontier by a kept commit's dependency cone, read off
-// the candidate cache's change lists (valid until the next update): tasks
+// the cone update's change lists (valid until the next update): tasks
 // whose slot moved (including the migrated task itself, which may keep
 // bubbling over multiple hops) and receivers of messages that moved.
 // Tasks whose timeline was merely dirtied without their slot moving are
@@ -223,11 +223,10 @@ func (ds *dirtySet) clear(t graph.TaskID) {
 // dense topologies, would re-examine whole processors after every commit
 // and erase the warm start's evaluation savings.
 func (ds *dirtySet) expand(en *engine) {
-	c := en.cache
-	for _, t := range c.updTasks {
+	for _, t := range en.updTasks {
 		ds.mark(t)
 	}
-	for _, e := range c.updMsgs {
+	for _, e := range en.updMsgs {
 		ds.mark(en.g.Edge(e).To)
 	}
 }

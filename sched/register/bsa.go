@@ -66,9 +66,6 @@ func (b bsaScheduler) Schedule(ctx context.Context, p sched.Problem, opts ...sch
 			"rebuilds":       float64(res.Rebuilds),
 			"placements":     float64(res.Placements),
 			"msg_placements": float64(res.MsgPlacements),
-			"cache_hits":     float64(res.CacheHits),
-			"cache_partials": float64(res.CachePartials),
-			"cache_misses":   float64(res.CacheMisses),
 			"bound_skips":    float64(res.BoundSkips),
 		},
 	}
@@ -87,9 +84,6 @@ func (b bsaScheduler) Schedule(ctx context.Context, p sched.Problem, opts ...sch
 		Rebuilds:      res.Rebuilds,
 		Placements:    res.Placements,
 		MsgPlacements: res.MsgPlacements,
-		CacheHits:     res.CacheHits,
-		CachePartials: res.CachePartials,
-		CacheMisses:   res.CacheMisses,
 		BoundSkips:    res.BoundSkips,
 		RestoredBest:  res.RestoredBest,
 	})

@@ -28,8 +28,8 @@ var ErrIncompleteResult = errors.New("sched: reschedule requires a previous resu
 // nearest surviving neighbour and severed routes re-routed shortest-path
 // — and then runs BSA's breadth-first migration sweeps restricted to the
 // dirty frontier the delta actually touched. After each kept migration
-// the frontier grows by exactly that commit's dependency cone (the
-// candidate cache's commit stamps), so reconvergence after a small delta
+// the frontier grows by exactly that commit's dependency cone (the cone
+// update's change lists), so reconvergence after a small delta
 // evaluates a small fraction of the candidates a cold run would
 // (Result.Stats "evaluations", "dirty_tasks").
 //
@@ -236,9 +236,6 @@ func Reschedule(ctx context.Context, prev Result, delta Delta, opts ...Option) (
 			"rebuilds":       float64(res.Rebuilds),
 			"placements":     float64(res.Placements),
 			"msg_placements": float64(res.MsgPlacements),
-			"cache_hits":     float64(res.CacheHits),
-			"cache_partials": float64(res.CachePartials),
-			"cache_misses":   float64(res.CacheMisses),
 			"bound_skips":    float64(res.BoundSkips),
 		},
 	}
@@ -253,9 +250,6 @@ func Reschedule(ctx context.Context, prev Result, delta Delta, opts ...Option) (
 		Rebuilds:      res.Rebuilds,
 		Placements:    res.Placements,
 		MsgPlacements: res.MsgPlacements,
-		CacheHits:     res.CacheHits,
-		CachePartials: res.CachePartials,
-		CacheMisses:   res.CacheMisses,
 		BoundSkips:    res.BoundSkips,
 		RestoredBest:  res.RestoredBest,
 	})

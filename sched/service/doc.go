@@ -132,9 +132,6 @@
 //	jobs_completed           terminal: done
 //	jobs_failed              terminal: failed (incl. deadline)
 //	jobs_rejected            refused before queueing (4xx/503)
-//	cache_hits_total         BSA sweep-cache full hits, summed over runs
-//	cache_partials_total     BSA sweep-cache partial hits
-//	cache_misses_total       BSA sweep-cache misses
 //	evaluations_total        candidate evaluations, all algorithms
 //	compile_hits_total       compiles whose graph and system both came
 //	                         from the compile cache

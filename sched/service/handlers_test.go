@@ -399,10 +399,9 @@ func TestHealthAndMetrics(t *testing.T) {
 	if m["jobs_in_flight"] != 0 {
 		t.Errorf("jobs_in_flight = %d, want 0 after completion", m["jobs_in_flight"])
 	}
-	// BSA ran, so the aggregated trace counters must have moved: the
-	// incremental engine always evaluates candidates, and with the cache
-	// on every fresh row is at least a miss.
-	if m["evaluations_total"] < 1 || m["cache_misses_total"] < 1 {
+	// BSA ran, so the aggregated evaluation counter must have moved: the
+	// incremental engine always evaluates candidates.
+	if m["evaluations_total"] < 1 {
 		t.Errorf("BSA trace aggregates not collected: %v", m)
 	}
 }

@@ -21,12 +21,8 @@ type metrics struct {
 	JobsFailed    *expvar.Int // terminal: failed (incl. deadline)
 	JobsRejected  *expvar.Int // refused before queueing (4xx/503)
 
-	// BSATrace aggregates, summed over every completed BSA run: the
-	// service-wide view of the sweep-level candidate cache.
-	CacheHits     *expvar.Int
-	CachePartials *expvar.Int
-	CacheMisses   *expvar.Int
-	Evaluations   *expvar.Int
+	// Candidate evaluations, summed over every completed run.
+	Evaluations *expvar.Int
 
 	// Compile cache: compiles whose graph and system both came from the
 	// server's compile cache, and compiles that parsed or built either of
@@ -85,9 +81,6 @@ func newMetrics() *metrics {
 		{"jobs_completed", &m.JobsCompleted},
 		{"jobs_failed", &m.JobsFailed},
 		{"jobs_rejected", &m.JobsRejected},
-		{"cache_hits_total", &m.CacheHits},
-		{"cache_partials_total", &m.CachePartials},
-		{"cache_misses_total", &m.CacheMisses},
 		{"evaluations_total", &m.Evaluations},
 		{"compile_hits_total", &m.CompileHits},
 		{"compile_misses_total", &m.CompileMisses},
@@ -164,9 +157,4 @@ func (m *metrics) observe(res *sched.Result) {
 		return
 	}
 	m.Evaluations.Add(int64(res.Stats.Get("evaluations")))
-	if tr, ok := res.BSA(); ok {
-		m.CacheHits.Add(int64(tr.CacheHits))
-		m.CachePartials.Add(int64(tr.CachePartials))
-		m.CacheMisses.Add(int64(tr.CacheMisses))
-	}
 }

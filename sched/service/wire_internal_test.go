@@ -110,7 +110,7 @@ func TestBatchWireDocMatchesMarshal(t *testing.T) {
 func TestStreamedViewsMatchMarshal(t *testing.T) {
 	result := &ScheduleResponse{
 		Algorithm: "bsa", Makespan: 123.5, ElapsedNS: 42, Summary: "SL <=> 123.5",
-		Stats:    map[string]float64{"evaluations": 7, "cache_hits": 0.5},
+		Stats:    map[string]float64{"evaluations": 7, "bound_skips": 0.5},
 		Schedule: json.RawMessage(`{"length":123.5,"tasks":[{"task":"T\u003c1","proc":"P1","start":0,"end":1}],"messages":[]}`),
 	}
 	errBody := &ErrorBody{Code: CodeScheduleFailed, Message: "no <schedule>", Detail: "graph_cycle"}

@@ -34,13 +34,6 @@ type BSATrace struct {
 	Rebuilds      int
 	Placements    int
 	MsgPlacements int
-	// CacheHits, CachePartials and CacheMisses describe the sweep-level
-	// candidate cache: rows served without re-evaluation, rows refreshed
-	// by re-evaluating only commit-stamped entries, and rows evaluated in
-	// full. All zero on the full-rebuild engine, which has no cache.
-	CacheHits     int
-	CachePartials int
-	CacheMisses   int
 	// BoundSkips counts the candidate entries among Evaluations that a
 	// finish-time lower bound settled without a full evaluation, because
 	// they could not change the migration decision. Zero on the
@@ -73,9 +66,6 @@ type RescheduleTrace struct {
 	Rebuilds      int
 	Placements    int
 	MsgPlacements int
-	CacheHits     int
-	CachePartials int
-	CacheMisses   int
 	BoundSkips    int
 	RestoredBest  bool
 }
