@@ -11,7 +11,7 @@
 //	       [-store mem|wal] [-data DIR]
 //	       [-advertise host:port] [-peers host1:p1,host2:p2]
 //	       [-replicas N] [-probe-interval d] [-probe-timeout d]
-//	       [-probe-misses N]
+//	       [-probe-misses N] [-debug-addr host:port]
 //
 // schedd announces the bound address on stdout ("schedd: listening on
 // ADDR") — with -addr :0 the kernel picks the port, which is how the
@@ -19,6 +19,13 @@
 // the listener stops accepting, queued and running jobs finish, then the
 // process exits 0. A second signal — or -drain-timeout expiring — aborts
 // the drain and exits nonzero.
+//
+// -debug-addr serves net/http/pprof's /debug/pprof/ endpoints (heap,
+// CPU, goroutine and the other runtime profiles) and expvar's
+// /debug/vars on a listener of its own, announced before the main one
+// ("schedd: debug listening on ADDR"). Empty, the default, serves none.
+// The profiles expose the process's internals, so bind it to a loopback
+// or private address.
 //
 // -store wal -data DIR persists accepted jobs to an append-only log in
 // DIR and replays it on boot, so a killed schedd finishes what it
@@ -45,6 +52,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 	"os/signal"
 	"strings"
@@ -78,6 +86,7 @@ func run() error {
 	probeInterval := flag.Duration("probe-interval", time.Second, "failure-detector probe period (cluster mode)")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe timeout")
 	probeMisses := flag.Int("probe-misses", 3, "consecutive probe misses before a peer is declared dead")
+	debugAddr := flag.String("debug-addr", "", "listen address for /debug/pprof (empty = off)")
 	flag.Parse()
 
 	// Bind before building the server: in cluster mode the advertised
@@ -85,6 +94,16 @@ func run() error {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
+	}
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			return fmt.Errorf("-debug-addr: %w", err)
+		}
+		dbg := &http.Server{Handler: http.DefaultServeMux}
+		go dbg.Serve(dln) //nolint:errcheck // returns once Close below ends it
+		defer dbg.Close()
+		fmt.Printf("schedd: debug listening on %s\n", dln.Addr())
 	}
 
 	cfg := service.Config{

@@ -57,11 +57,11 @@ func TestEvalMigrationAllocFree(t *testing.T) {
 	}
 }
 
-// TestCachedSweepAllocFree pins the sweep step at zero allocations: at a
+// TestFixpointSweepAllocFree pins the sweep step at zero allocations: at a
 // migration fixpoint a full pivot sweep — every candidate row evaluated
 // into the reused row buffer and reduced, the insertion-sort task
 // ordering — runs without heap traffic.
-func TestCachedSweepAllocFree(t *testing.T) {
+func TestFixpointSweepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}

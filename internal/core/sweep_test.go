@@ -29,7 +29,7 @@ func paperTopologies(rng *rand.Rand) map[string]*system.Network {
 	}
 }
 
-// TestCandidateCacheEquivalence is the incremental engine's trajectory
+// TestIncrementalTraceEquivalence is the incremental engine's trajectory
 // property test: across regular and random graph families, all four
 // topology families and heterogeneity on/off, it must produce a
 // byte-identical serialized schedule AND an identical step-by-step
@@ -38,7 +38,7 @@ func paperTopologies(rng *rand.Rand) map[string]*system.Network {
 // update or a wrongly settled entry would divert the trace at the first
 // affected decision, so trace equality localizes such bugs far better
 // than end-state checks.
-func TestCandidateCacheEquivalence(t *testing.T) {
+func TestIncrementalTraceEquivalence(t *testing.T) {
 	for _, kind := range []gen.Kind{gen.GaussElim, gen.Random} {
 		for seed := int64(0); seed < 3; seed++ {
 			rng := rand.New(rand.NewSource(seed*31 + int64(kind)))
@@ -105,12 +105,12 @@ func assertSerializedIdentical(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestCandidateCacheCountsConsistent checks the evaluation counters: the
+// TestEvaluationCountsConsistent checks the evaluation counters: the
 // incremental engine and the oracle follow the same trajectory and both
 // settle every entry of every row they visit, so their Evaluations agree;
 // only the incremental engine settles entries by the bound, some of them
 // and never more than it settled in all.
-func TestCandidateCacheCountsConsistent(t *testing.T) {
+func TestEvaluationCountsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnectedDAG(rng, 60, 0.12)
 	sys := randomSystem(t, rng, g, 6)
@@ -133,11 +133,11 @@ func TestCandidateCacheCountsConsistent(t *testing.T) {
 	}
 }
 
-// TestCachedFixpointSweepServesAllRows drives a run to its fixpoint and
+// TestFixpointSweepSettlesAllEntries drives a run to its fixpoint and
 // then replays one more sweep by hand: with no commits in between it
 // migrates nothing, yet it settles every entry of every row it visits,
 // some of them by the bound alone.
-func TestCachedFixpointSweepServesAllRows(t *testing.T) {
+func TestFixpointSweepSettlesAllEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomConnectedDAG(rng, 50, 0.15)
 	sys := randomSystem(t, rng, g, 5)

@@ -124,17 +124,17 @@ func TestCompileCacheLookupCopiesNothing(t *testing.T) {
 	if _, _, errBody := s.compile(req); errBody != nil {
 		t.Fatal(errBody)
 	}
-	g := s.compiled.graph(req.Graph)
+	g := s.compiled.graph(&req.Graph)
 	if g == nil {
 		t.Fatal("graph not cached")
 	}
 	sp := systemParams{topology: true, tasks: g.NumTasks(), edges: g.NumEdges()}
-	if s.compiled.system(req.Topology, sp) == nil {
+	if s.compiled.system(&req.Topology, sp) == nil {
 		t.Fatal("system not cached")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		s.compiled.graph(req.Graph)
-		s.compiled.system(req.Topology, sp)
+		s.compiled.graph(&req.Graph)
+		s.compiled.system(&req.Topology, sp)
 	})
 	if allocs != 0 {
 		t.Errorf("a cache lookup allocates %v times", allocs)

@@ -65,6 +65,15 @@
 // lineage is recomputed recursively the same way. Synchronous jobs are
 // never persisted (their IDs are not disclosed).
 //
+// A persisted job holds its request by reference (Record.Request): the
+// request's graph, system and topology documents are the compile
+// cache's copies, so the jobs of one problem share one copy of its
+// documents for as long as they are retained, and the request must be
+// treated as immutable. Records encode exactly as before, so WAL lines,
+// snapshots and replication bodies are unchanged and older logs replay.
+// Records loaded from a WAL or received from a replica hold their own
+// decoded copies of the documents.
+//
 // # Clustering
 //
 // Config.Self plus Config.Peers put the server in cluster mode: all
@@ -166,6 +175,8 @@
 //	forward_errors_total     forward attempts that reached the wire and failed
 //
 // Server is the embeddable core; cmd/schedd wraps it with flags, WAL and
-// cluster wiring, SIGTERM draining and a listener; cmd/schedctl drives
-// it from the command line through Client; cmd/schedload load-tests it.
+// cluster wiring, SIGTERM draining and a listener, plus, when given a
+// -debug-addr, a second listener serving net/http/pprof's /debug/pprof/
+// profiles and expvar's /debug/vars; cmd/schedctl drives it from the
+// command line through Client; cmd/schedload load-tests it.
 package service

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -279,7 +280,32 @@ func TestScheduleDeadline(t *testing.T) {
 }
 
 func TestScheduleBodyTooLarge(t *testing.T) {
-	_, client, _ := newTestService(t, service.Config{MaxBodyBytes: 1024})
+	_, client, baseURL := newTestService(t, service.Config{MaxBodyBytes: 1024})
+
+	// A body of exactly the cap is accepted, whether the client announces
+	// its length or sends it chunked.
+	body, err := json.Marshal(paperRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > 1024 {
+		t.Fatalf("the paper request is %d bytes, over the 1024-byte cap", len(body))
+	}
+	body = append(bytes.Repeat([]byte(" "), 1024-len(body)), body...)
+	if resp, got := post(t, baseURL, "/v1/schedule", body); resp.StatusCode != http.StatusOK {
+		t.Errorf("a body of exactly the cap: http %d %s", resp.StatusCode, got)
+	}
+	// A reader of unknown length makes the transport send it chunked.
+	resp, err := http.Post(baseURL+"/v1/schedule", "application/json", io.MultiReader(bytes.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("a chunked body of exactly the cap: http %d %s", resp.StatusCode, got)
+	}
+
 	req := paperRequest(t)
 	req.Topology = nil
 	// Inflate the request past the cap with a huge valid graph document.
@@ -296,7 +322,7 @@ func TestScheduleBodyTooLarge(t *testing.T) {
 	}
 	pad.WriteString(`],"edges":[]}`)
 	req.Graph = pad.Bytes()
-	_, err := client.Schedule(context.Background(), req)
+	_, err = client.Schedule(context.Background(), req)
 	wantAPIError(t, err, http.StatusRequestEntityTooLarge, service.CodeBodyTooLarge)
 }
 

@@ -371,11 +371,8 @@ func (s *Server) rebuildJob(rec *Record) (*job, *ErrorBody) {
 		}
 		return s.buildJob(context.Background(), rec.clone(), 0, s.rescheduleRun(rec.SourceID, delta, rec.Seed)), nil
 	default:
-		var req ScheduleRequest
-		if err := json.Unmarshal(rec.Request, &req); err != nil {
-			return nil, &ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("stored request: %v", err)}
-		}
-		p, scheduler, errBody := s.compile(&req)
+		req := rec.request()
+		p, scheduler, errBody := s.compile(req)
 		if errBody != nil {
 			return nil, errBody
 		}
@@ -422,11 +419,8 @@ func (s *Server) resultOf(ctx context.Context, id string) (*sched.Result, error)
 		}
 		return sched.Reschedule(ctx, *prev, delta, sched.WithSeed(rec.Seed))
 	default:
-		var req ScheduleRequest
-		if err := json.Unmarshal(rec.Request, &req); err != nil {
-			return nil, fmt.Errorf("stored request for %q: %w", id, err)
-		}
-		p, scheduler, errBody := s.compile(&req)
+		req := rec.request()
+		p, scheduler, errBody := s.compile(req)
 		if errBody != nil {
 			return nil, errBody
 		}
@@ -468,7 +462,12 @@ func (s *Server) newJob(base context.Context, req *ScheduleRequest, persist bool
 		CreatedAt: s.cfg.Now(),
 	}
 	if persist {
-		rec.Request = req.wireDoc()
+		// compile pointed req's documents at the compile cache's copies.
+		// The record keeps a copy of req, not req itself: a batch job's
+		// request lives in its batch's job array, which must not outlive
+		// the batch.
+		stored := *req
+		rec.Request = &stored
 	}
 	seed := req.Seed
 	j := s.buildJob(base, rec, req.TimeoutMS, func(ctx context.Context) (*sched.Result, error) {
@@ -660,10 +659,21 @@ func ctxErrorBody(err error) *ErrorBody {
 // ---- request plumbing ----
 
 // readBody slurps the JSON body under the body-size cap. Forwarding
-// needs the raw bytes, so decoding is split from reading.
+// needs the raw bytes, so decoding is split from reading. A body whose
+// length the client announced is read into one buffer of that size;
+// io.ReadAll would grow its buffer by doubling, copying the body about
+// twice over.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *ErrorBody) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	data, err := io.ReadAll(r.Body)
+	var (
+		data []byte
+		err  error
+	)
+	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
+		data, err = readSized(r.Body, n)
+	} else {
+		data, err = io.ReadAll(r.Body)
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -672,6 +682,26 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *Erro
 		return nil, &ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("read request: %v", err)}
 	}
 	return data, nil
+}
+
+// readSized is io.ReadAll starting from a buffer of n+1 bytes: a body of
+// n bytes fills it, and the read that finds EOF has its spare byte, so
+// the buffer is never regrown. A longer body still reads in full.
+func readSized(r io.Reader, n int64) ([]byte, error) {
+	b := make([]byte, 0, n+1)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // unmarshalStrict decodes a request body, rejecting unknown fields.

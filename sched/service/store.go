@@ -20,11 +20,11 @@ const (
 
 // Record is the persistent form of one asynchronous job — everything a
 // restarted server needs to serve its result again or, for a job that
-// never finished, to re-run it: the original request document
-// (KindSchedule) or the source-job ID plus delta document
-// (KindReschedule). Every registered scheduler is deterministic, so a
-// record doubles as a recipe: replaying it reproduces the exact schedule
-// bytes the interrupted run would have produced.
+// never finished, to re-run it: the original request (KindSchedule) or
+// the source-job ID plus delta document (KindReschedule). Every
+// registered scheduler is deterministic, so a record doubles as a
+// recipe: replaying it reproduces the exact schedule bytes the
+// interrupted run would have produced.
 type Record struct {
 	ID     string     `json:"id"`
 	Kind   RecordKind `json:"kind"`
@@ -32,8 +32,13 @@ type Record struct {
 	Status JobStatus  `json:"status"`
 	// Key is the idempotency key the job was accepted under, if any.
 	Key string `json:"idempotency_key,omitempty"`
-	// Request is the original ScheduleRequest document (KindSchedule).
-	Request json.RawMessage `json:"request,omitempty"`
+	// Request is the original request (KindSchedule), held by reference:
+	// the server points a request's graph, system and topology documents
+	// at its compile cache's copies, so every job of one problem shares
+	// them. Treat it as immutable. It encodes to the same JSON as the
+	// request document it stands for. Records loaded from a WAL or
+	// received from a replica hold their own decoded copies.
+	Request *ScheduleRequest `json:"request,omitempty"`
 	// Delta, Seed and SourceID are the reschedule lineage
 	// (KindReschedule): the delta document applied to SourceID's result
 	// under the given tie-break seed.
@@ -48,11 +53,22 @@ type Record struct {
 	DoneAt    time.Time `json:"done_at,omitzero"`
 }
 
-// clone returns a shallow copy. Result, Error and the raw documents are
-// treated as immutable once set, so sharing them across copies is safe.
+// clone returns a shallow copy. Request, Result, Error and the raw
+// documents are treated as immutable once set, so sharing them across
+// copies is safe.
 func (r *Record) clone() *Record {
 	c := *r
 	return &c
+}
+
+// request returns a copy of the stored request to compile: compiling
+// repoints a request's documents, and a stored record is never written.
+func (r *Record) request() *ScheduleRequest {
+	var req ScheduleRequest
+	if r.Request != nil {
+		req = *r.Request
+	}
+	return &req
 }
 
 // Store persists accepted asynchronous jobs. The server writes every
@@ -62,6 +78,11 @@ func (r *Record) clone() *Record {
 // as reschedule sources, pending ones are recompiled and re-enqueued.
 // MemStore keeps records for the process lifetime; WALStore survives
 // restarts.
+//
+// A record's Request shares its documents with the server's compile
+// cache and with other records, so a store keeps the pointer and never
+// writes through it. Encoding a record gives the same JSON it always
+// did; a store that decodes records back holds its own copies.
 //
 // Implementations must be safe for concurrent use, must return snapshot
 // records that stay valid after eviction, and must keep the FIRST

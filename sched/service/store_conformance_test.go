@@ -57,7 +57,7 @@ func queuedRec(id, key string) *service.Record {
 		Algo:      "bsa",
 		Status:    service.JobQueued,
 		Key:       key,
-		Request:   json.RawMessage(`{"seed":1}`),
+		Request:   &service.ScheduleRequest{Seed: 1},
 		CreatedAt: storeEpoch,
 	}
 }

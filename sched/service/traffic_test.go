@@ -359,13 +359,10 @@ func TestStoreReplayOnBoot(t *testing.T) {
 
 	// Seed the store with the crash shapes by hand: a pending schedule
 	// job and a pending reschedule hanging off the finished one.
-	reqDoc, err := json.Marshal(paperRequest(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := paperRequest(t)
 	pending := &service.Record{
 		ID: "j50", Kind: service.KindSchedule, Algo: "bsa",
-		Status: service.JobQueued, Request: reqDoc, CreatedAt: time.Now(),
+		Status: service.JobQueued, Request: &req, CreatedAt: time.Now(),
 	}
 	if err := ms.Put(pending); err != nil {
 		t.Fatal(err)

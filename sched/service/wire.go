@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/sched"
 	"repro/sched/gen"
@@ -64,24 +65,20 @@ type ScheduleRequest struct {
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 
-// wireDoc renders the request as its persistence document and its
-// request body — equivalent to json.Marshal's output — without
-// reflection. The graph and system documents are appended verbatim:
-// encoding/json would otherwise validate and recompact every byte of
-// them per job, which dominates batch admission (a 64-job batch
-// recompacts the shared graph document 64 times over). The server's
-// strict wire decode validates their syntax on arrival, and the
-// persisted document only ever feeds json.Unmarshal back into a
-// ScheduleRequest on replay.
+// wireDoc renders the request as its request body — equivalent to
+// json.Marshal's output — without reflection. The graph and system
+// documents are appended verbatim: encoding/json would otherwise
+// validate and recompact every byte of them per call, which dominates
+// a batch body (a 64-job batch recompacts the shared graph document 64
+// times over). The server's strict wire decode validates their syntax
+// on arrival.
 func (req *ScheduleRequest) wireDoc() json.RawMessage {
 	return req.appendWire(make([]byte, 0, req.wireSize()))
 }
 
-// wireSize is the capacity wireDoc reserves: the documents and the two
-// strings, plus 384 bytes for the member names and the small members.
-// Persisted jobs keep their document for the whole job TTL, and a
-// buffer that append had to regrow would stay about a quarter too
-// large.
+// wireSize is the capacity wireDoc reserves, so that append never
+// regrows the buffer: the documents and the two strings, plus 384
+// bytes for the member names and the small members.
 func (req *ScheduleRequest) wireSize() int {
 	return 384 + len(req.Algo) + len(req.IdempotencyKey) + len(req.Graph) + len(req.System) + len(req.Topology)
 }
@@ -519,20 +516,33 @@ const (
 // compiled graphs and systems are immutable (schedulers only read them,
 // and Delta.Apply builds fresh matrices).
 //
-// Each entry is charged its key bytes plus its compiled size, so systems
-// built from tiny topo+het keys count too; an insert that would pass the
-// budget drops the whole cache first. A lookup copies nothing.
+// The cache also holds the one copy of each document that the requests
+// it serves share: a hit points the request's document at the cached
+// bytes, and an insert keeps the request's own bytes, which the entry's
+// map key shares rather than copies. Persisted jobs keep their request,
+// so every job of one problem references one copy of its documents.
+// Documents are never written once decoded; the keys rely on that.
+//
+// Each entry is charged its document bytes plus its compiled size, so
+// systems built from tiny topo+het keys count too; an insert that would
+// pass the budget drops the whole cache first. A lookup copies nothing.
 type compileCache struct {
 	budget int64 // bytes; compileBudget outside tests
 
 	mu      sync.Mutex
 	charged int64 // bytes charged by the live entries
-	graphs  map[string]*graph.Graph
-	systems map[systemKey]*system.System
+	graphs  map[string]cached[*graph.Graph]
+	systems map[systemKey]cached[*system.System]
+}
+
+// cached is one compiled document and the cache's copy of its bytes.
+type cached[T any] struct {
+	doc json.RawMessage
+	val T
 }
 
 func newCompileCache(budget int64) *compileCache {
-	return &compileCache{budget: budget, graphs: make(map[string]*graph.Graph), systems: make(map[systemKey]*system.System)}
+	return &compileCache{budget: budget, graphs: make(map[string]cached[*graph.Graph]), systems: make(map[systemKey]cached[*system.System])}
 }
 
 // systemKey names a compiled system: its System or Topology document
@@ -551,30 +561,48 @@ type systemParams struct {
 	tasks, edges int
 }
 
-func (cc *compileCache) graph(doc []byte) *graph.Graph {
+// keyOf returns doc's bytes as a string without copying them, so an
+// entry's map key and its document are one copy. The string is valid
+// only while nothing writes to doc, which holds for cached documents.
+func keyOf(doc []byte) string { return unsafe.String(unsafe.SliceData(doc), len(doc)) }
+
+// graph returns the graph compiled from *doc, nil when none is cached.
+// On a hit it points *doc at the cache's copy of the bytes.
+func (cc *compileCache) graph(doc *json.RawMessage) *graph.Graph {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return cc.graphs[string(doc)] // the conversion in an index expression does not copy
+	e := cc.graphs[string(*doc)] // the conversion in an index expression does not copy
+	if e.val != nil {
+		*doc = e.doc
+	}
+	return e.val
 }
 
-func (cc *compileCache) system(doc []byte, sp systemParams) *system.System {
+// system is graph's counterpart for systems.
+func (cc *compileCache) system(doc *json.RawMessage, sp systemParams) *system.System {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return cc.systems[systemKey{string(doc), sp}]
+	e := cc.systems[systemKey{string(*doc), sp}]
+	if e.val != nil {
+		*doc = e.doc
+	}
+	return e.val
 }
 
 // put caches a validated problem's graph and system, whichever of the
-// two is not cached yet.
-func (cc *compileCache) put(gdoc []byte, g *graph.Graph, sdoc []byte, sp systemParams, sys *system.System) {
-	gCharge := int64(len(gdoc) + taskBytes*g.NumTasks() + edgeBytes*g.NumEdges())
-	sCharge := int64(len(sdoc) + factorBytes*(len(sys.Exec)*sys.Net.NumProcs()+len(sys.Comm)*sys.Net.NumLinks()))
+// two is not cached yet, keeping the request's documents as the cached
+// copies. A document that is cached already, by a concurrent request,
+// is pointed at the cache's copy instead.
+func (cc *compileCache) put(gdoc *json.RawMessage, g *graph.Graph, sdoc *json.RawMessage, sp systemParams, sys *system.System) {
+	gCharge := int64(len(*gdoc) + taskBytes*g.NumTasks() + edgeBytes*g.NumEdges())
+	sCharge := int64(len(*sdoc) + factorBytes*(len(sys.Exec)*sys.Net.NumProcs()+len(sys.Comm)*sys.Net.NumLinks()))
 	if gCharge+sCharge > cc.budget {
 		return // it would never fit
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	_, haveGraph := cc.graphs[string(gdoc)]
-	_, haveSystem := cc.systems[systemKey{string(sdoc), sp}]
+	ge, haveGraph := cc.graphs[string(*gdoc)]
+	se, haveSystem := cc.systems[systemKey{string(*sdoc), sp}]
 	var charge int64
 	if !haveGraph {
 		charge += gCharge
@@ -589,11 +617,15 @@ func (cc *compileCache) put(gdoc []byte, g *graph.Graph, sdoc []byte, sp systemP
 		haveGraph, haveSystem, charge = false, false, gCharge+sCharge
 	}
 	cc.charged += charge
-	if !haveGraph {
-		cc.graphs[string(gdoc)] = g
+	if haveGraph {
+		*gdoc = ge.doc
+	} else {
+		cc.graphs[keyOf(*gdoc)] = cached[*graph.Graph]{*gdoc, g}
 	}
-	if !haveSystem {
-		cc.systems[systemKey{string(sdoc), sp}] = sys
+	if haveSystem {
+		*sdoc = se.doc
+	} else {
+		cc.systems[systemKey{keyOf(*sdoc), sp}] = cached[*system.System]{*sdoc, sys}
 	}
 }
 
@@ -606,7 +638,7 @@ func (cc *compileCache) problem(req *ScheduleRequest) (p sched.Problem, compiled
 	if !hasDoc(req.Graph) {
 		return fail(&ErrorBody{Code: CodeBadRequest, Message: "missing graph document"})
 	}
-	g := cc.graph(req.Graph)
+	g := cc.graph(&req.Graph)
 	if g == nil {
 		compiled = true
 		var err error
@@ -629,15 +661,15 @@ func (cc *compileCache) problem(req *ScheduleRequest) (p sched.Problem, compiled
 	if req.Het != nil {
 		sp.het, sp.hasHet = *req.Het, true
 	}
-	var sdoc []byte
+	sdoc := new(json.RawMessage) // a generated Topo's key has no document
 	switch {
 	case hasDoc(req.System):
 		if req.Het != nil {
 			return fail(&ErrorBody{Code: CodeBadRequest, Message: "het applies to topology, not to a full system document"})
 		}
-		sdoc = req.System
+		sdoc = &req.System
 	case hasDoc(req.Topology):
-		sdoc, sp.topology = req.Topology, true
+		sdoc, sp.topology = &req.Topology, true
 	case req.Topo != nil:
 		sp.topo = *req.Topo
 	default:
@@ -660,7 +692,7 @@ func (cc *compileCache) problem(req *ScheduleRequest) (p sched.Problem, compiled
 		return fail(&ErrorBody{Code: CodeBadRequest, Message: err.Error(), Detail: validationDetail(err)})
 	}
 	if compiled {
-		cc.put(req.Graph, g, sdoc, sp, sys)
+		cc.put(&req.Graph, g, sdoc, sp, sys)
 	}
 	return p, compiled, nil
 }

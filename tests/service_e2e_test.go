@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -34,6 +36,14 @@ func buildCmd(t *testing.T, dir, name string) string {
 // its base URL plus the running process. The caller owns shutdown.
 func startSchedd(t *testing.T, bin string, extraArgs ...string) (string, *exec.Cmd, *bytes.Buffer) {
 	t.Helper()
+	baseURL, _, cmd, errBuf := startScheddDebug(t, bin, extraArgs...)
+	return baseURL, cmd, errBuf
+}
+
+// startScheddDebug is startSchedd that also returns the base URL of the
+// daemon's -debug-addr listener, empty when it announced none.
+func startScheddDebug(t *testing.T, bin string, extraArgs ...string) (string, string, *exec.Cmd, *bytes.Buffer) {
+	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
 	cmd := exec.Command(bin, args...)
 	var errBuf bytes.Buffer
@@ -52,27 +62,33 @@ func startSchedd(t *testing.T, bin string, extraArgs ...string) (string, *exec.C
 		}
 	})
 
-	// schedd announces its bound address as the first stdout line.
+	// schedd announces its debug listener, if any, and then its bound
+	// address, one stdout line each.
+	type urls struct{ base, debug string }
 	sc := bufio.NewScanner(stdout)
-	addrCh := make(chan string, 1)
+	addrCh := make(chan urls, 1)
 	go func() {
+		debug := ""
 		for sc.Scan() {
 			line := sc.Text()
+			if rest, ok := strings.CutPrefix(line, "schedd: debug listening on "); ok {
+				debug = "http://" + rest
+			}
 			if rest, ok := strings.CutPrefix(line, "schedd: listening on "); ok {
-				addrCh <- rest
+				addrCh <- urls{"http://" + rest, debug}
 			}
 		}
 		close(addrCh)
 	}()
 	select {
-	case addr, ok := <-addrCh:
+	case u, ok := <-addrCh:
 		if !ok {
 			t.Fatalf("schedd exited before announcing its address; stderr:\n%s", errBuf.String())
 		}
-		return "http://" + addr, cmd, &errBuf
+		return u.base, u.debug, cmd, &errBuf
 	case <-time.After(30 * time.Second):
 		t.Fatalf("schedd did not announce its address; stderr:\n%s", errBuf.String())
-		return "", nil, nil
+		return "", "", nil, nil
 	}
 }
 
@@ -125,7 +141,7 @@ func TestScheddEndToEnd(t *testing.T) {
 	bsasched := buildCmd(t, dir, "bsasched")
 	gpath, spath, gdoc, sdoc := paperDocs(t, dir)
 
-	baseURL, cmd, errBuf := startSchedd(t, schedd, "-workers", "2")
+	baseURL, debugURL, cmd, errBuf := startScheddDebug(t, schedd, "-workers", "2", "-debug-addr", "127.0.0.1:0")
 	client := service.NewClient(baseURL, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -182,6 +198,20 @@ func TestScheddEndToEnd(t *testing.T) {
 		if v.Status != service.JobDone {
 			t.Fatalf("job %s: %q (%v)", id, v.Status, v.Error)
 		}
+	}
+
+	// -debug-addr serves the runtime profiles on their own listener.
+	if debugURL == "" {
+		t.Fatal("schedd -debug-addr announced no debug listener")
+	}
+	resp, err := http.Get(debugURL + "/debug/pprof/heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(heap) == 0 {
+		t.Fatalf("GET /debug/pprof/heap: http %d, %d bytes, %v", resp.StatusCode, len(heap), err)
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
