@@ -166,7 +166,8 @@ schedload-smoke:
 # bench-schedd regenerates the committed BENCH_schedd.json: the
 # closed-loop single-vs-batch comparison whose batch_speedup field is the
 # batch endpoint's acceptance floor (>= 2x jobs/sec over one-at-a-time
-# submission of the same jobs). The point is deliberately wire-bound —
+# submission of the same jobs; below it schedload still writes the
+# report, then fails the target). The point is deliberately wire-bound —
 # small 10-task jobs in batches of 64 over one connection — because
 # batching amortizes wire + admission overhead, not scheduling compute:
 # on compute-bound jobs (the default 40-task heft ~0.5ms each) the ratio

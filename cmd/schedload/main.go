@@ -26,8 +26,9 @@
 //
 // -compare switches to two closed-loop saturation phases — every job
 // submitted one request at a time, then the same jobs in batches — and
-// reports the batch amortization as "batch_speedup" (the acceptance
-// floor for the batch endpoint is 2x). Jobs/sec is measured server-side
+// reports the batch amortization as "batch_speedup". The acceptance
+// floor for the batch endpoint is 2x: below it, schedload still writes
+// the report and then exits non-zero. Jobs/sec is measured server-side
 // in both modes: the jobs_completed counter delta over the phase wall
 // time, backlog drain included, so acceptance alone cannot inflate it.
 //
@@ -279,6 +280,23 @@ func run() error {
 				return fmt.Errorf("phase %s observed %d failed batch items", p.Name, n)
 			}
 		}
+	}
+	if *compare {
+		return checkBatchFloor(rep.BatchSpeedup)
+	}
+	return nil
+}
+
+// batchSpeedupFloor is the batch endpoint's acceptance floor: batches
+// must complete at least twice the jobs/sec of one-at-a-time submission
+// of the same jobs.
+const batchSpeedupFloor = 2.0
+
+// checkBatchFloor fails a -compare run whose batch_speedup is below
+// batchSpeedupFloor.
+func checkBatchFloor(speedup float64) error {
+	if speedup < batchSpeedupFloor {
+		return fmt.Errorf("batch_speedup %.3f is below the batch endpoint's %gx acceptance floor", speedup, batchSpeedupFloor)
 	}
 	return nil
 }

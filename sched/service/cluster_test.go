@@ -3,10 +3,13 @@ package service_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,11 +25,31 @@ type testNode struct {
 	srv    *service.Server
 	client *service.Client
 	addr   string
-	stop   func() // idempotent; kills the listener (simulated node death)
+	// stop simulates node death: it kills the listener and the node's
+	// outbound transport, so the stopped Server, which keeps running in
+	// the test process, can no longer replicate, forward or probe either.
+	// Idempotent.
+	stop func()
+}
+
+// killableTransport carries a test node's inter-replica traffic until
+// killed, then refuses every request.
+type killableTransport struct{ killed atomic.Bool }
+
+func (k *killableTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if k.killed.Load() {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, errors.New("test node stopped")
+	}
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // newTestCluster boots n replicas on kernel-picked loopback ports, each
-// configured with the full member set. Servers are drained at test end.
+// configured with the full member set and its own killable outbound
+// transport (cfg.HTTPClient is replaced). Servers are drained at test
+// end.
 func newTestCluster(t *testing.T, n int, cfg service.Config) []*testNode {
 	t.Helper()
 	registerFixtures()
@@ -50,6 +73,8 @@ func newTestCluster(t *testing.T, n int, cfg service.Config) []*testNode {
 				c.Peers = append(c.Peers, a)
 			}
 		}
+		out := &killableTransport{}
+		c.HTTPClient = &http.Client{Transport: out}
 		srv := service.New(c)
 		hs := &http.Server{Handler: srv}
 		go hs.Serve(lns[i]) //nolint:errcheck
@@ -62,6 +87,7 @@ func newTestCluster(t *testing.T, n int, cfg service.Config) []*testNode {
 		node.stop = func() {
 			if !stopped {
 				stopped = true
+				out.killed.Store(true)
 				hs.Close()
 			}
 		}
@@ -447,5 +473,91 @@ func TestClusterDeadOwner(t *testing.T) {
 		if n.Token == deadToken && n.Healthy {
 			t.Error("dead node still reported healthy")
 		}
+	}
+}
+
+// TestClusterModeEdgeAnswers pins cluster-mode answers no other test
+// covers. A single-node server refuses replication pushes and treats a
+// job ID carrying a foreign token as unknown: only a clustered server
+// routes by token. A clustered replica running with Replicas 1 refuses
+// replication pushes but still folds reconciliation pushes into its own
+// store.
+func TestClusterModeEdgeAnswers(t *testing.T) {
+	wantError := func(t *testing.T, what string, status int, data []byte, wantStatus int, code, msg string) {
+		t.Helper()
+		var env struct {
+			Error *service.ErrorBody `json:"error"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil || env.Error == nil {
+			t.Fatalf("%s: http %d, body %q is no error envelope", what, status, data)
+		}
+		if status != wantStatus || env.Error.Code != code || !strings.Contains(env.Error.Message, msg) {
+			t.Errorf("%s: http %d %q (%s), want http %d %q containing %q",
+				what, status, env.Error.Code, env.Error.Message, wantStatus, code, msg)
+		}
+	}
+	getRaw := func(t *testing.T, url string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+	push := []byte(`{"origin":"deadbeef","records":[]}`)
+
+	_, _, single := newTestService(t, service.Config{Workers: 1})
+	resp, data := post(t, single, "/v1/internal/replicate", push)
+	wantError(t, "single-node replicate", resp.StatusCode, data, http.StatusBadRequest, service.CodeBadRequest, "replication requires cluster mode")
+	const foreign = "deadbeef.j1"
+	for _, path := range []string{"/v1/jobs/" + foreign, "/v1/jobs/" + foreign + "/events"} {
+		status, data := getRaw(t, single+path)
+		wantError(t, "single-node GET "+path, status, data, http.StatusNotFound, service.CodeNotFound, foreign)
+	}
+	resp, data = post(t, single, "/v1/jobs/"+foreign+"/reschedule", []byte(`{"delta":{"remove_procs":["P1"]}}`))
+	wantError(t, "single-node reschedule", resp.StatusCode, data, http.StatusNotFound, service.CodeNotFound, foreign)
+
+	nodes := newTestCluster(t, 2, service.Config{Workers: 1, Replicas: 1})
+	base := "http://" + nodes[0].addr
+	resp, data = post(t, base, "/v1/internal/replicate", push)
+	wantError(t, "Replicas 1 replicate", resp.StatusCode, data, http.StatusBadRequest, service.CodeBadRequest, "replication disabled on this replica (-replicas 1)")
+
+	now := time.Now().UTC()
+	var recs []*service.Record
+	for _, id := range []string{"deadbeef.j7", "deadbeef.j8"} {
+		recs = append(recs, &service.Record{
+			ID: id, Kind: service.KindSchedule, Algo: "bsa", Status: service.JobFailed,
+			Error:     &service.ErrorBody{Code: service.CodeScheduleFailed, Message: "failed on the old owner"},
+			CreatedAt: now, DoneAt: now,
+		})
+	}
+	body, err := json.Marshal(map[string]any{"origin": "deadbeef", "reconcile": true, "records": recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data = post(t, base, "/v1/internal/replicate", body)
+	if resp.StatusCode != http.StatusOK || string(compact(t, data)) != `{"records":2}` {
+		t.Fatalf("Replicas 1 reconcile: http %d %s, want 200 {\"records\":2}", resp.StatusCode, data)
+	}
+	m, err := nodes[0].client.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["reconciles_total"] != 2 {
+		t.Errorf("reconciles_total = %d, want 2", m["reconciles_total"])
+	}
+	// The token names no member, so the lookup is served from this
+	// node's store, where the reconciled record now lives.
+	v, err := nodes[0].client.Job(context.Background(), "deadbeef.j7")
+	if err != nil {
+		t.Fatalf("reconciled record: %v", err)
+	}
+	if v.Status != service.JobFailed || v.Error == nil || v.Error.Message != "failed on the old owner" {
+		t.Errorf("reconciled record view = %+v", v)
 	}
 }

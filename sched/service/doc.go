@@ -164,7 +164,7 @@
 //	batch_size_le_16         so bucket differences give the distribution)
 //	batch_size_le_64
 //	batch_size_le_inf
-//	probe_failures_total     failed health probes (detector + /v1/cluster)
+//	probe_failures_total     failed failure-detector probes (not /v1/cluster's)
 //	failovers_total          dead-owner adoptions triggered on this node
 //	adopted_jobs_total       replicated pending jobs re-run here
 //	replicated_jobs_total    records successfully streamed to successors
@@ -173,6 +173,19 @@
 //	breaker_open_total       circuit breakers tripped open
 //	breaker_short_circuits_total forwards refused by an open breaker
 //	forward_errors_total     forward attempts that reached the wire and failed
+//
+// # Layout
+//
+// server.go holds the single-node core: Config, New, lifecycle, store
+// replay and the HTTP handlers. job.go holds the job lifecycle, from
+// construction through the worker's run path to the runtime table, and
+// httpio.go reads requests and writes responses. cluster.go, with
+// failure.go (the failure detector), replica.go (the replica
+// side-store) and breaker.go (per-peer circuit breakers), holds the
+// cluster tier behind one type that is nil on a single node, so no
+// handler branches on cluster mode. Its hop method is the one place a
+// request leaves the node for another replica; only health probes
+// bypass it, and with it the breakers.
 //
 // Server is the embeddable core; cmd/schedd wraps it with flags, WAL and
 // cluster wiring, SIGTERM draining and a listener, plus, when given a

@@ -24,32 +24,30 @@ type peerState struct {
 // detector is the background failure detector driving failover: it
 // probes every peer's /healthz on a fixed interval and escalates K
 // consecutive misses alive → suspect → dead. Transitions into and out
-// of dead invoke the server's failover hooks (adopt replicated jobs /
+// of dead invoke the cluster's failover hooks (adopt replicated jobs /
 // reconcile with the returned owner). Probes bypass the circuit
 // breakers on purpose — the detector is how a dead verdict gets
 // revisited, so it must keep looking at peers nobody else talks to.
 type detector struct {
-	s     *Server
+	c     *cluster
 	mu    sync.Mutex
 	peers map[string]*peerState // token -> state
 	stop  chan struct{}
 	once  sync.Once
 }
 
-func newDetector(s *Server) *detector {
-	d := &detector{s: s, peers: make(map[string]*peerState), stop: make(chan struct{})}
-	for _, token := range s.cluster.tokens() {
-		if token == s.cluster.selfToken {
-			continue
+func newDetector(c *cluster) *detector {
+	d := &detector{c: c, peers: make(map[string]*peerState), stop: make(chan struct{})}
+	for token, addr := range c.addrs {
+		if token != c.selfToken {
+			d.peers[token] = &peerState{addr: addr, status: peerAlive}
 		}
-		addr, _ := s.cluster.addrOf(token)
-		d.peers[token] = &peerState{addr: addr, status: peerAlive}
 	}
 	return d
 }
 
 func (d *detector) run() {
-	t := time.NewTicker(d.s.cfg.ProbeInterval)
+	t := time.NewTicker(d.c.s.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -72,17 +70,14 @@ func (d *detector) tick() {
 		}
 		p.inflight = true
 		go func(token, addr string) {
-			ctx, cancel := context.WithTimeout(context.Background(), d.s.cfg.ProbeTimeout)
-			ok := d.s.probe(ctx, addr)
-			cancel()
-			d.report(token, ok)
+			d.report(token, d.c.probe(context.Background(), addr))
 		}(token, p.addr)
 	}
 	d.mu.Unlock()
 }
 
 // report folds one probe outcome into the peer's state, firing the
-// server's failover hooks on transitions into and out of dead. The
+// cluster's failover hooks on transitions into and out of dead. The
 // hooks run outside the detector lock — adoption enqueues jobs and
 // reconciliation sends HTTP, neither of which may block probing.
 func (d *detector) report(token string, ok bool) {
@@ -100,8 +95,8 @@ func (d *detector) report(token string, ok bool) {
 		p.status = peerAlive
 	} else {
 		p.misses++
-		d.s.metrics.ProbeFailures.Add(1)
-		if p.misses >= d.s.cfg.ProbeMisses {
+		d.c.s.metrics.ProbeFailures.Add(1)
+		if p.misses >= d.c.s.cfg.ProbeMisses {
 			died = p.status != peerDead
 			p.status = peerDead
 		} else if p.status != peerDead {
@@ -110,10 +105,10 @@ func (d *detector) report(token string, ok bool) {
 	}
 	d.mu.Unlock()
 	if died {
-		d.s.onPeerDead(token)
+		d.c.onPeerDead(token)
 	}
 	if recovered {
-		d.s.onPeerRecovered(token)
+		d.c.onPeerRecovered(token)
 	}
 }
 
@@ -125,15 +120,15 @@ func (d *detector) dead(token string) bool {
 	return ok && p.status == peerDead
 }
 
-// stateOf returns the detector's verdict on token ("" for unknown
-// tokens, self included — the caller renders those itself).
+// stateOf returns the detector's verdict on member token. This node is
+// always alive from its own perspective.
 func (d *detector) stateOf(token string) string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if p, ok := d.peers[token]; ok {
 		return p.status
 	}
-	return ""
+	return peerAlive
 }
 
 func (d *detector) close() {
