@@ -167,14 +167,7 @@ func run() error {
 			return err
 		}
 		for _, n := range view.Nodes {
-			mark, health := " ", "healthy"
-			if n.Self {
-				mark = "*"
-			}
-			if !n.Healthy {
-				health = "unreachable"
-			}
-			fmt.Printf("%s %-10s %-24s %s\n", mark, n.Token, n.Addr, health)
+			fmt.Println(clusterLine(n))
 		}
 		return nil
 	case "metrics":
@@ -194,6 +187,23 @@ func run() error {
 	default:
 		return usage()
 	}
+}
+
+// clusterLine formats one member of the cluster view: a "*" on the
+// answering node, its token and address, its probe health and, when the
+// answering node runs a failure detector, that detector's verdict on it.
+func clusterLine(n service.NodeView) string {
+	mark, health := " ", "healthy"
+	if n.Self {
+		mark = "*"
+	}
+	if !n.Healthy {
+		health = "unreachable"
+	}
+	if n.State == "" {
+		return fmt.Sprintf("%s %-10s %-24s %s", mark, n.Token, n.Addr, health)
+	}
+	return fmt.Sprintf("%s %-10s %-24s %-11s %s", mark, n.Token, n.Addr, health, n.State)
 }
 
 // batch submits many jobs in one POST /v1/batch round trip.

@@ -1,50 +1,55 @@
-// The structure-of-arrays schedule-state backend.
+// The structure-of-arrays (SoA) slot store of the incremental engine.
 //
-// The reference backend re-derives a migration's dependency cone by
-// lazily stripping Timelines (removing every not-yet-reprocessed slot and
-// queueing its owner) and then re-inserting placements, most of which come
-// back unchanged: profiles on full=16/n=500 show >50% of re-placed items
-// land on byte-identical slots, and the strip/restore churn — about 1.8M
-// slot removals and 400k verbatim re-reservations per run — dominates
-// updateFrom, which is itself 82-90% of BSA runtime.
+// A full rebuild replays (serial, assign, routes) from scratch, and its
+// result for any item is a deterministic function of the placements of
+// strictly earlier serial turns on the timelines the item touches. After
+// a migration only the moved task's dependency cone can change, so the
+// cone update (updateFrom) processes a worklist of potentially affected
+// items in serial order and leaves everything else where it is.
 //
-// This backend never strips. Each resource keeps its slots in parallel
-// arrays (start/end/owner + a processing-order key), and visibility does
-// the work stripping did: while the cone update processes the item with
-// key K, a slot is visible to its fit queries iff its key is < K. The
-// serial order is fixed for the whole run, so keys are static:
+// The store never strips a timeline to make it look like a rebuild
+// paused at the current turn. Visibility does that work instead: every
+// slot carries the processing-order key of its item, and while the cone
+// update processes the item with key K, a slot is visible to its fit
+// queries iff its key is < K. The serial order is fixed for the whole
+// run, so keys are static:
 //
 //	message hop of edge e: rank(dest)<<20 | In-index
 //	task at rank r:        r<<20 | taskKeyTag
 //
-// exactly the order placeFrom places items in. A full rebuild paused at
-// item I's turn holds precisely the slots of items with key < K(I) — the
-// cone invariant ("every item whose placement would change is queued;
-// unqueued items' slots already equal their rebuild placement") then makes
-// the visible subsequence bit-identical to the rebuild-time timeline, so
-// fits over it return bit-identical values.
+// exactly the order a rebuild places items in. A rebuild paused at item
+// I's turn holds precisely the slots of items with key < K(I); the cone
+// invariant ("every item whose placement would change is queued;
+// unqueued items' slots already equal their rebuild placement") then
+// makes the visible subsequence bit-identical to the rebuild-time
+// timeline, so fits over it return bit-identical values.
 //
-// Consequences that kill the reference backend's overheads:
+// What follows from that:
 //
-//   - No restore path: a queued item is recomputed read-only against the
-//     visible slots and compared with its old placement. Unchanged (the
-//     majority) means zero mutation — the old slots were never removed.
-//   - Early exit: an unchanged item marks nothing dirty and queues no
-//     successors, so propagation stops exactly where placements are
-//     provably unchanged.
-//   - Instead of strip-queueing whole timeline suffixes, a timeline whose
-//     content first diverges is scanned once per update and only the
-//     owners with key > K are queued (cheap integer compares).
-//   - No requeue/restart: every queue source yields keys strictly above
-//     the current item's, so within a rank the In()-order pass never runs
-//     twice.
+//   - A queued item is recomputed read-only against the visible slots and
+//     compared with its old placement. Unchanged (the majority) means
+//     zero mutation: the old slots were never removed.
+//   - An unchanged item marks nothing dirty and queues no successors, so
+//     propagation stops exactly where placements are provably unchanged.
+//   - A timeline whose content first diverges is scanned once per update,
+//     and only the owners with key > K are queued (integer compares).
+//   - Every queue source yields keys strictly above the current item's,
+//     so within a rank the In()-order pass never runs twice.
 //
 // Mutations (the minority) remove the item's old slots by owner and
 // insert the new ones, evicting any *invisible* physical slot they
-// overlap (its owner is queued, like strip-queueing, but per-slot). A
-// visible slot can never be evicted: the fit that produced the position
-// avoided all visible slots, so an overlap would contradict the fit —
-// insertEvict panics if that invariant breaks.
+// overlap (its owner is queued, per slot). A visible slot can never be
+// evicted: the fit that produced the position avoided all visible slots,
+// so an overlap would contradict the fit — evict panics if that
+// invariant breaks.
+//
+// The price of never stripping is that every later, invisible slot stays
+// in place: each fit bisects the whole timeline and each insertion or
+// removal shifts its whole suffix. Where many links share the traffic
+// (fully connected networks) timelines stay short and the store wins;
+// where a few long link timelines absorb every multi-hop route (rings,
+// hypercubes, meshes) that work costs more than the stripping it avoids,
+// so the density rule (defaultBackend) runs the reference backend there.
 
 package core
 
@@ -58,8 +63,7 @@ import (
 )
 
 // allVisible is the visibility bound for fit queries between updates
-// (candidate evaluation): every physical slot is current, so all keys
-// pass.
+// (candidate evaluation): every slot is current, so all keys pass.
 const allVisible = int64(math.MaxInt64)
 
 // soaSlot is one reserved span: [start, end) occupied by owner, placed at
@@ -139,22 +143,6 @@ func (tl *soaTL) reset() {
 	tl.slots = tl.slots[:0]
 	tl.sufMin = tl.sufMin[:0]
 	tl.memo, tl.short = soaMemo{}, 0
-}
-
-func (tl *soaTL) append(start, end float64, owner, key int64) {
-	tl.noteInsert(start, end)
-	tl.slots = append(tl.slots, soaSlot{start, end, owner, key})
-	tl.sufMin = append(tl.sufMin, key)
-}
-
-// recomputeSufMin rebuilds the suffix-min array from scratch; rebuild's
-// bulk import appends placeholders and fixes them up here in one pass.
-func (tl *soaTL) recomputeSufMin() {
-	for i := len(tl.sufMin) - 2; i >= 0; i-- {
-		if tl.sufMin[i+1] < tl.sufMin[i] {
-			tl.sufMin[i] = tl.sufMin[i+1]
-		}
-	}
 }
 
 // fixSufMin re-establishes the suffix-min invariant for positions <= i
@@ -240,12 +228,13 @@ func (tl *soaTL) earliestFit(ready, dur float64, vis int64) float64 {
 		start, lo, gap, from = tl.memo.hi, tl.memo.lo, tl.memo.gap, math.Inf(1)
 	}
 	for i := tl.searchEndAbove(start); i < len(s); i++ {
-		if tl.sufMin[i] >= vis {
-			// Every remaining slot is invisible: the item fits at start.
-			break
-		}
 		sl := &s[i]
 		if sl.key >= vis {
+			if tl.sufMin[i] >= vis {
+				// Every remaining slot is invisible: the item fits at
+				// start.
+				break
+			}
 			continue
 		}
 		if sl.end <= start+schedule.TimeEps {
@@ -382,6 +371,15 @@ func (tl *soaTL) removeOwner(start float64, owner int64) bool {
 	return false
 }
 
+// materialize writes the slots into dst.
+func (tl *soaTL) materialize(dst *schedule.Timeline) {
+	slots := make([]schedule.Slot, len(tl.slots))
+	for i, sl := range tl.slots {
+		slots[i] = schedule.Slot{Start: sl.start, End: sl.end, Owner: sl.owner}
+	}
+	dst.AdoptSlots(slots)
+}
+
 // tryMoveSlot re-places the slot at index i to [start, end) with a single
 // range shift — the common mutation is a small move, so this does a
 // fraction of the remove+insert memmove work and one binary search. It
@@ -453,23 +451,18 @@ func (tl *soaTL) tryMoveSlot(i int, start, end float64, owner, key int64) bool {
 	return true
 }
 
-// soaBackend binds the SoA slot state to an engine.
-type soaBackend struct {
-	en    *engine
-	procs []soaTL
-	links []soaTL
+// soaRes is one resource of the store — a processor, whose owners are
+// tasks, or a link, whose owners are message hops — with the removals it
+// saw in the current cone update.
+type soaRes struct {
+	soaTL
+	link bool
 
-	// Static processing-order keys (the serial order never changes within
-	// a run).
-	taskKey []int64
-	msgKey  []int64
-
-	// The dirty-frontier refinement of the reference backend's
-	// per-timeline divergence flags: the time span [mutLo, mutHi) covering
-	// every slot REMOVED (explicitly or by eviction) from the resource this
-	// epoch. A per-timeline flag alone forces every later item on a
-	// diverged timeline through a fit recompute, and profiles show most of
-	// those come back unchanged.
+	// The dirty-frontier refinement of a per-timeline divergence flag:
+	// the time spans of every slot REMOVED (explicitly or by eviction)
+	// from the resource this epoch. A per-timeline flag alone forces every
+	// later item on a diverged timeline through a fit recompute, and
+	// profiles show most of those come back unchanged.
 	//
 	// Removals are the only mutations that can move an unchanged-input
 	// item's fit. An insertion by an earlier-keyed item can never perturb
@@ -481,27 +474,34 @@ type soaBackend struct {
 	// accepts, and mutations by later-keyed items are invisible to it
 	// anyway. Outside that window the item is provably unchanged and
 	// completes in O(1) without touching the timeline.
-	// Each resource keeps a short list of disjoint-ish removal intervals
+	// The resource keeps a short list of disjoint-ish removal intervals
 	// (collapsed to one aggregate when it would overflow); a single wide
 	// span turns one distant eviction into a blanket recompute for the
 	// whole timeline, and profiles show the precision matters.
 	// Each interval also carries the removed slot's processing-order key:
 	// a checker ignores removals keyed at or above its own visibility —
 	// those slots were never part of its view.
-	procIvLo, procIvHi         [][]float64
-	linkIvLo, linkIvHi         [][]float64
-	procIvKey, linkIvKey       [][]int64
-	procDivStamp, linkDivStamp []uint32
+	nIv        int
+	ivLo, ivHi [mutIvCap]float64
+	ivKey      [mutIvCap]int64
+	divStamp   uint32
 
-	// Owner-queueing watermark: the lowest freed point each resource has
+	// Owner-queueing watermark: the lowest freed point the resource has
 	// been suffix-scanned from this epoch. Items are processed in strictly
 	// increasing key order and every scan filters on "key above the item
 	// scanning", so an earlier scan's filter is a superset of any later
 	// removal's needs: re-scanning [watermark, inf) can only re-queue done
 	// items. A later removal therefore scans just the extension
 	// [freedLo, watermark).
-	procScanLo, linkScanLo       []float64
-	procScanStamp, linkScanStamp []uint32
+	scanLo    float64
+	scanStamp uint32
+}
+
+// soaBackend binds the SoA slot state to an engine.
+type soaBackend struct {
+	en    *engine
+	procs []soaRes
+	links []soaRes
 
 	// msgReady is each message's sender-end time as of its last
 	// (re)placement or skip-validation. A sender that moved *later* but
@@ -513,10 +513,12 @@ type soaBackend struct {
 	// taskEvict / msgEvict stamp an item whose slot (any hop, for a
 	// message) was evicted this epoch. Eviction is the one mutation that
 	// invalidates an item's placement without changing its inputs, and
-	// the clean checks above cannot see it: the eviction interval carries
-	// the evicted item's own key (which its later skip check rightly
-	// ignores for gap analysis) and may be fully re-covered by the
-	// evictor's insertion. A stamped item must re-place unconditionally.
+	// the clean checks cannot see it: the eviction interval carries the
+	// evicted item's own key (which its later skip check rightly ignores
+	// for gap analysis) and may be fully re-covered by the evictor's
+	// insertion. A stamped item must re-place unconditionally; a stamped
+	// task's slot needs no search to remove (a message's hops are still
+	// searched for, since only some of them may be gone).
 	taskEvict []uint32
 	msgEvict  []uint32
 
@@ -535,122 +537,79 @@ type soaBackend struct {
 	// newHops holds the recomputed hop sequence for comparison with the
 	// old placement.
 	newHops []schedule.Hop
-	// slotBuf is finalize's per-timeline materialization scratch.
-	slotBuf []schedule.Slot
 }
 
 func newSoaBackend(en *engine) *soaBackend {
-	if en.inIndex == nil {
-		panic("core: soa backend requires the incremental engine")
-	}
 	nT, nE := en.g.NumTasks(), en.g.NumEdges()
-	nP, nL := en.sys.Net.NumProcs(), en.sys.Net.NumLinks()
+	nL := en.sys.Net.NumLinks()
 	b := &soaBackend{
-		en:            en,
-		procs:         make([]soaTL, nP),
-		links:         make([]soaTL, nL),
-		taskKey:       make([]int64, nT),
-		msgKey:        make([]int64, nE),
-		procIvLo:      make([][]float64, nP),
-		procIvHi:      make([][]float64, nP),
-		linkIvLo:      make([][]float64, nL),
-		linkIvHi:      make([][]float64, nL),
-		procIvKey:     make([][]int64, nP),
-		linkIvKey:     make([][]int64, nL),
-		procDivStamp:  make([]uint32, nP),
-		linkDivStamp:  make([]uint32, nL),
-		procScanLo:    make([]float64, nP),
-		linkScanLo:    make([]float64, nL),
-		procScanStamp: make([]uint32, nP),
-		linkScanStamp: make([]uint32, nL),
-		taskEvict:     make([]uint32, nT),
-		msgEvict:      make([]uint32, nE),
-		taskDrt:       make([]float64, nT),
-		msgReady:      make([]float64, nE),
-		sc:            newEvalScratch(nL),
+		en:        en,
+		procs:     make([]soaRes, en.sys.Net.NumProcs()),
+		links:     make([]soaRes, nL),
+		taskEvict: make([]uint32, nT),
+		msgEvict:  make([]uint32, nE),
+		taskDrt:   make([]float64, nT),
+		msgReady:  make([]float64, nE),
+		sc:        newEvalScratch(nL),
 	}
-	for p := 0; p < nP; p++ {
-		b.procIvLo[p] = make([]float64, 0, mutIvCap)
-		b.procIvHi[p] = make([]float64, 0, mutIvCap)
-		b.procIvKey[p] = make([]int64, 0, mutIvCap)
-	}
-	for l := 0; l < nL; l++ {
-		b.linkIvLo[l] = make([]float64, 0, mutIvCap)
-		b.linkIvHi[l] = make([]float64, 0, mutIvCap)
-		b.linkIvKey[l] = make([]int64, 0, mutIvCap)
-	}
-	for t := 0; t < nT; t++ {
-		b.taskKey[t] = taskItemKey(en.pos[t])
-	}
-	for e := 0; e < nE; e++ {
-		b.msgKey[e] = msgItemKey(en.msgPos[e], en.inIndex[e])
+	for l := range b.links {
+		b.links[l].link = true
 	}
 	return b
 }
 
-// rebuild derives the slot state from scratch: the shared placeFrom
-// replay fills the Schedule's Timelines (so rebuild stays bit-identical
-// to the reference by construction), and the result is imported into the
-// parallel arrays. Rebuilds are rare — engine construction and the final
-// elitism restore — so the import cost is irrelevant.
+func (b *soaBackend) taskKey(t graph.TaskID) int64 { return taskItemKey(b.en.pos[t]) }
+func (b *soaBackend) msgKey(e graph.EdgeID) int64 {
+	return msgItemKey(b.en.msgPos[e], b.en.inIndex[e])
+}
+
+// rebuild derives the slot state from scratch, placing every item in
+// serial order with the same fits the cone update uses. Rebuilds are rare
+// — engine construction and the final elitism restore.
 func (b *soaBackend) rebuild() {
 	en := b.en
 	en.s.Reset()
-	en.placeFrom(0)
-	for t := range b.taskDrt {
+	for p := range b.procs {
+		b.procs[p].reset()
+	}
+	for l := range b.links {
+		b.links[l].reset()
+	}
+	en.placements += len(en.serial)
+	for _, u := range en.serial {
 		var drt float64
-		for _, e := range en.g.In(graph.TaskID(t)) {
-			if a := en.s.Msgs[e].Arrival; a > drt {
-				drt = a
+		for _, e := range en.g.In(u) {
+			en.msgPlaces++
+			vis := b.msgKey(e)
+			sm := &en.s.Msgs[e]
+			b.msgReady[e] = en.s.Tasks[en.g.Edge(e).From].End
+			sm.Hops = append(sm.Hops[:0], b.fitHops(e, vis)...)
+			sm.Arrival, sm.Placed = b.msgReady[e], true
+			for h, hop := range sm.Hops {
+				b.insertEvict(&b.links[hop.Link], hop.Start, hop.End, schedule.MsgOwner(e, h), vis)
+				sm.Arrival = hop.End
 			}
+			drt = max(drt, sm.Arrival)
 		}
-		b.taskDrt[t] = drt
-	}
-	for e := range b.msgReady {
-		b.msgReady[e] = en.s.Tasks[en.g.Edge(graph.EdgeID(e)).From].End
-	}
-	for p := range b.procs {
-		tl := &b.procs[p]
-		tl.reset()
-		for _, s := range en.s.ProcTimeline(system.ProcID(p)).Slots() {
-			tl.append(s.Start, s.End, s.Owner, b.taskKey[s.Owner])
-		}
-	}
-	for l := range b.links {
-		tl := &b.links[l]
-		tl.reset()
-		for _, s := range en.s.LinkTimeline(system.LinkID(l)).Slots() {
-			tl.append(s.Start, s.End, s.Owner, b.msgKey[schedule.MsgOwnerEdge(s.Owner)])
-		}
-	}
-	for p := range b.procs {
-		b.procs[p].recomputeSufMin()
-	}
-	for l := range b.links {
-		b.links[l].recomputeSufMin()
+		b.taskDrt[u] = drt
+		p, vis := en.assign[u], b.taskKey(u)
+		dur := en.s.ExecDuration(u, p)
+		start := b.procs[p].earliestFit(drt, dur, vis)
+		en.s.Tasks[u] = schedule.TaskSlot{Proc: p, Start: start, End: start + dur, Placed: true}
+		b.insertEvict(&b.procs[p], start, start+dur, schedule.TaskOwner(u), vis)
 	}
 }
 
-// finalize materializes the parallel arrays back into the Schedule's
-// Timelines. Idempotent; the slot state is authoritative between updates.
+// finalize materializes the slot store into the Schedule's Timelines.
+// Idempotent; the store is authoritative between updates.
 func (b *soaBackend) finalize() {
 	en := b.en
 	for p := range b.procs {
-		b.adopt(en.s.ProcTimeline(system.ProcID(p)), &b.procs[p])
+		b.procs[p].materialize(en.s.ProcTimeline(system.ProcID(p)))
 	}
 	for l := range b.links {
-		b.adopt(en.s.LinkTimeline(system.LinkID(l)), &b.links[l])
+		b.links[l].materialize(en.s.LinkTimeline(system.LinkID(l)))
 	}
-}
-
-func (b *soaBackend) adopt(dst *schedule.Timeline, tl *soaTL) {
-	buf := b.slotBuf[:0]
-	for i := range tl.slots {
-		sl := &tl.slots[i]
-		buf = append(buf, schedule.Slot{Start: sl.start, End: sl.end, Owner: sl.owner})
-	}
-	b.slotBuf = buf
-	dst.AdoptSlots(buf)
 }
 
 func (b *soaBackend) procEarliestFit(p system.ProcID, ready, dur float64) float64 {
@@ -661,12 +620,13 @@ func (b *soaBackend) linkEarliestFitWithExtra(l system.LinkID, ready, dur float6
 	return b.links[l].earliestFitExtra(ready, dur, extra, allVisible)
 }
 
-// updateFrom consumes the queued cone in serial-rank order, In() order
-// within a rank, like the reference — but with no restart: every queue
-// source (divergence scans, evictions, arrival/changed propagation)
-// yields keys strictly above the item being processed, so a surfaced
-// same-rank sibling always has a larger In-index and is reached by the
-// same In() pass.
+// updateFrom consumes the queued cone in serial-rank order: queued items
+// only ever sit at the current rank or later, so a single pass over the
+// pending-rank flags replaces a priority queue. Within a rank, messages
+// go in In() order before the task, as in a rebuild; every queue source
+// (divergence scans, evictions, arrival/changed propagation) yields keys
+// strictly above the item being processed, so a surfaced same-rank
+// sibling always has a larger In-index and is reached by the same pass.
 func (b *soaBackend) updateFrom(mig graph.TaskID) {
 	en := b.en
 	n := len(en.serial)
@@ -705,12 +665,12 @@ func (b *soaBackend) updateFrom(mig graph.TaskID) {
 // placement. The dirty test reads every way a placement can move:
 // msgEvict (one of the message's hops was evicted), taskChanged (its
 // sender's slot moved; msgReady keeps one later move clean) and the
-// linkClean windows (a removal that a hop's fit could see). Insertions
-// need no test: they evict on overlap, and otherwise only shrink gaps the
-// old fits already rejected.
+// clean windows (a removal that a hop's fit could see). Insertions need
+// no test: they evict on overlap, and otherwise only shrink gaps the old
+// fits already rejected.
 func (b *soaBackend) processMsg(e graph.EdgeID) {
 	en := b.en
-	vis := b.msgKey[e]
+	vis := b.msgKey(e)
 	edge := en.g.Edge(e)
 	sm := &en.s.Msgs[e]
 	dirty := edge.From == en.migTask || edge.To == en.migTask ||
@@ -726,7 +686,7 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 		// stays at or below hop 0's start is still provably unchanged:
 		// the new fit window nests inside the one validated at
 		// msgReady, so no earlier gap can appear, and the old gap's
-		// continued availability is exactly what linkClean certifies.
+		// continued availability is exactly what clean certifies.
 		// A move earlier (or past hop 0's start, or with no hops to pin
 		// the arrival) must recompute.
 		ready := en.s.Tasks[edge.From].End
@@ -741,7 +701,7 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 				// slots are disjoint, so no visible slot was ever removed
 				// from inside the hop's own occupied span — only a removal
 				// opening a gap strictly before it can move the fit.
-				if !b.linkClean(hop.Link, ready, hop.Start, hop.End, vis) {
+				if !b.clean(&b.links[hop.Link], ready, hop.Start, hop.End, vis) {
 					dirty = true
 					break
 				}
@@ -754,10 +714,9 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 			return
 		}
 	}
-	from := &en.s.Tasks[edge.From]
-	ready := from.End
+	ready := en.s.Tasks[edge.From].End
 	b.msgReady[e] = ready
-	hops := b.newHops[:0]
+	var hops []schedule.Hop
 	if en.cfg.pruneRoutes && edge.From != en.migTask && edge.To != en.migTask {
 		// Routes are rewritten only for the migrating task's edges, so this
 		// message's route — and with it every hop's link, endpoints and
@@ -768,6 +727,7 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 		if en.sys.Comm != nil {
 			commRow = en.sys.Comm[e]
 		}
+		hops = b.newHops[:0]
 		for h := range sm.Hops {
 			oh := &sm.Hops[h]
 			dur := edge.Cost
@@ -778,39 +738,13 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 			hops = append(hops, schedule.Hop{Link: oh.Link, From: oh.From, To: oh.To, Start: start, End: start + dur})
 			ready = start + dur
 		}
+		b.newHops = hops
 	} else {
-		p := from.Proc
-		// Pruned routes are simple paths — no link repeats — so the
-		// tentative overlay of the message's own earlier hops can never be
-		// consulted and the scratch bookkeeping is skipped entirely; the
-		// merge scan only runs for the no-pruning ablation's
-		// link-revisiting routes.
-		sc := b.sc
-		if !en.cfg.pruneRoutes {
-			sc.reset()
-		}
-		for _, l := range en.routes.route(e) {
-			lk := en.sys.Net.Link(l)
-			if !lk.Has(p) {
-				panic(fmt.Sprintf("core: update message %d: route link %d does not touch P%d", e, l, p+1))
-			}
-			dur := en.s.HopDuration(e, l)
-			var start float64
-			if en.cfg.pruneRoutes || len(sc.extra[l]) == 0 {
-				start = b.links[l].earliestFit(ready, dur, vis)
-			} else {
-				start = b.links[l].earliestFitExtra(ready, dur, sc.extra[l], vis)
-			}
-			if !en.cfg.pruneRoutes {
-				sc.add(l, start, start+dur)
-			}
-			next := lk.Other(p)
-			hops = append(hops, schedule.Hop{Link: l, From: p, To: next, Start: start, End: start + dur})
-			ready = start + dur
-			p = next
+		hops = b.fitHops(e, vis)
+		if len(hops) > 0 {
+			ready = hops[len(hops)-1].End
 		}
 	}
-	b.newHops = hops
 	arr := ready
 	oldArr := sm.Arrival
 	hopsChanged := !hopsEqual(hops, sm.Hops)
@@ -832,41 +766,44 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 		}
 		if sameRoute {
 			// Fixed route (every non-migrating message): re-place each
-			// changed hop with a single range shift on its own link;
-			// physically identical hops are left untouched.
+			// changed hop with a single range shift on its own link when
+			// nothing needs evicting; physically identical hops are left
+			// untouched.
 			for h := range hops {
 				old, nh := &sm.Hops[h], &hops[h]
 				if *nh == *old {
 					continue
 				}
-				tl := &b.links[nh.Link]
-				if i := tl.findOwner(old.Start, schedule.MsgOwner(e, h)); i >= 0 &&
-					tl.tryMoveSlot(i, nh.Start, nh.End, schedule.MsgOwner(e, h), vis) {
-					b.noteLinkMut(nh.Link, old.Start, old.End, nh.Start, nh.End, vis, vis)
-				} else {
-					if tl.removeOwner(old.Start, schedule.MsgOwner(e, h)) {
-						b.noteLinkMut(nh.Link, old.Start, old.End, nh.Start, nh.End, vis, vis)
-					}
-					b.insertEvictLink(nh.Link, nh.Start, nh.End, schedule.MsgOwner(e, h), vis)
+				tl, owner := &b.links[nh.Link], schedule.MsgOwner(e, h)
+				i := tl.findOwner(old.Start, owner)
+				if i >= 0 && tl.tryMoveSlot(i, nh.Start, nh.End, owner, vis) {
+					b.noteMut(tl, old.Start, old.End, nh.Start, nh.End, vis, vis)
+					continue
 				}
+				if i >= 0 {
+					tl.removeAt(i)
+					b.noteMut(tl, old.Start, old.End, nh.Start, nh.End, vis, vis)
+				}
+				b.insertEvict(tl, nh.Start, nh.End, owner, vis)
 			}
 		} else {
 			for h := range sm.Hops {
 				hop := &sm.Hops[h]
-				if b.links[hop.Link].removeOwner(hop.Start, schedule.MsgOwner(e, h)) {
-					// The replacement hop on the same link (same index for a
-					// non-migrating message's fixed route) re-covers its
-					// span; only the uncovered remainder is genuinely freed.
-					covS, covE := hop.End, hop.End
-					if h < len(hops) && hops[h].Link == hop.Link {
-						covS, covE = hops[h].Start, hops[h].End
-					}
-					b.noteLinkMut(hop.Link, hop.Start, hop.End, covS, covE, vis, vis)
+				if !b.links[hop.Link].removeOwner(hop.Start, schedule.MsgOwner(e, h)) {
+					continue
 				}
+				// The replacement hop on the same link (same index for a
+				// non-migrating message's fixed route) re-covers its span;
+				// only the uncovered remainder is genuinely freed.
+				covS, covE := hop.End, hop.End
+				if h < len(hops) && hops[h].Link == hop.Link {
+					covS, covE = hops[h].Start, hops[h].End
+				}
+				b.noteMut(&b.links[hop.Link], hop.Start, hop.End, covS, covE, vis, vis)
 			}
 			for h := range hops {
 				hop := &hops[h]
-				b.insertEvictLink(hop.Link, hop.Start, hop.End, schedule.MsgOwner(e, h), vis)
+				b.insertEvict(&b.links[hop.Link], hop.Start, hop.End, schedule.MsgOwner(e, h), vis)
 			}
 		}
 		sm.Hops = append(sm.Hops[:0], hops...)
@@ -885,12 +822,52 @@ func (b *soaBackend) processMsg(e graph.EdgeID) {
 	en.msgDone[e] = en.epoch
 }
 
+// fitHops computes message e's hop schedule along its current route
+// against the slots keyed below vis, hop by hop from its sender's end,
+// into the reused newHops buffer.
+func (b *soaBackend) fitHops(e graph.EdgeID, vis int64) []schedule.Hop {
+	en := b.en
+	from := &en.s.Tasks[en.g.Edge(e).From]
+	ready, p := from.End, from.Proc
+	hops := b.newHops[:0]
+	// Pruned routes are simple paths — no link repeats — so the tentative
+	// overlay of the message's own earlier hops can never be consulted and
+	// the scratch bookkeeping is skipped entirely; the merge scan only
+	// runs for the no-pruning ablation's link-revisiting routes.
+	sc := b.sc
+	if !en.cfg.pruneRoutes {
+		sc.reset()
+	}
+	for _, l := range en.routes.route(e) {
+		lk := en.sys.Net.Link(l)
+		if !lk.Has(p) {
+			panic(fmt.Sprintf("core: message %d: route link %d does not touch P%d", e, l, p+1))
+		}
+		dur := en.s.HopDuration(e, l)
+		var start float64
+		if en.cfg.pruneRoutes || len(sc.extra[l]) == 0 {
+			start = b.links[l].earliestFit(ready, dur, vis)
+		} else {
+			start = b.links[l].earliestFitExtra(ready, dur, sc.extra[l], vis)
+		}
+		if !en.cfg.pruneRoutes {
+			sc.add(l, start, start+dur)
+		}
+		next := lk.Other(p)
+		hops = append(hops, schedule.Hop{Link: l, From: p, To: next, Start: start, End: start + dur})
+		ready = start + dur
+		p = next
+	}
+	b.newHops = hops
+	return hops
+}
+
 // processTask handles one queued task: the cheap dirty test finishes
 // provably unchanged items outright (their slot is intact), dirty ones are
 // recomputed and mutate only on actual divergence.
 func (b *soaBackend) processTask(u graph.TaskID) {
 	en := b.en
-	vis := b.taskKey[u]
+	vis := b.taskKey(u)
 	st := &en.s.Tasks[u]
 	// taskDrt is revalidated (skip) or rewritten (recompute) by every
 	// update that moves an in-arrival — arrivals settle before their
@@ -909,8 +886,9 @@ func (b *soaBackend) processTask(u graph.TaskID) {
 	// drtTouched fires on any arrival move, but only the max matters: a
 	// task whose data-ready time is unchanged re-derives identically
 	// unless its processor's content changed inside the fit's window.
-	if u != en.migTask && b.taskEvict[u] != en.epoch &&
-		drt == b.taskDrt[u] && b.procClean(en.assign[u], drt, st.Start, st.End, vis) {
+	evicted := b.taskEvict[u] == en.epoch
+	if u != en.migTask && !evicted &&
+		drt == b.taskDrt[u] && b.clean(&b.procs[en.assign[u]], drt, st.Start, st.End, vis) {
 		en.taskDone[u] = en.epoch
 		return
 	}
@@ -921,27 +899,25 @@ func (b *soaBackend) processTask(u graph.TaskID) {
 	nw := schedule.TaskSlot{Proc: p, Start: start, End: start + dur, Placed: true}
 	if nw != *st {
 		en.placements++
-		moved := false
-		if nw.Proc == st.Proc {
-			// Same processor (every non-migrating task): re-place with a
-			// single range shift instead of remove+insert when nothing
-			// needs evicting.
-			tl := &b.procs[st.Proc]
-			if i := tl.findOwner(st.Start, schedule.TaskOwner(u)); i >= 0 &&
-				tl.tryMoveSlot(i, nw.Start, nw.End, schedule.TaskOwner(u), vis) {
-				b.noteProcMut(st.Proc, st.Start, st.End, nw.Start, nw.End, vis, vis)
-				moved = true
-			}
+		tl, owner := &b.procs[st.Proc], schedule.TaskOwner(u)
+		i := -1
+		if !evicted {
+			i = tl.findOwner(st.Start, owner)
 		}
-		if !moved {
-			if b.procs[st.Proc].removeOwner(st.Start, schedule.TaskOwner(u)) {
+		if i >= 0 && nw.Proc == st.Proc && tl.tryMoveSlot(i, nw.Start, nw.End, owner, vis) {
+			// Same processor (every non-migrating task) with nothing to
+			// evict: a single range shift.
+			b.noteMut(tl, st.Start, st.End, nw.Start, nw.End, vis, vis)
+		} else {
+			if i >= 0 {
+				tl.removeAt(i)
 				covS, covE := st.End, st.End
 				if nw.Proc == st.Proc {
 					covS, covE = nw.Start, nw.End
 				}
-				b.noteProcMut(st.Proc, st.Start, st.End, covS, covE, vis, vis)
+				b.noteMut(tl, st.Start, st.End, covS, covE, vis, vis)
 			}
-			b.insertEvictProc(p, nw.Start, nw.End, schedule.TaskOwner(u), vis)
+			b.insertEvict(&b.procs[p], nw.Start, nw.End, owner, vis)
 		}
 		*st = nw
 		en.taskChanged[u] = en.epoch
@@ -996,262 +972,160 @@ const mutIvCap = 16
 // Merging takes the min key (relevant to a checker when either part
 // was); merging distant entries and the overflow collapse only widen
 // coverage, which is safe.
-func addIv(lo, hi []float64, key []int64, start, end float64, k int64) ([]float64, []float64, []int64) {
-	for i := range lo {
-		if end >= lo[i]-schedule.TimeEps && start <= hi[i]+schedule.TimeEps {
-			if start < lo[i] {
-				lo[i] = start
-			}
-			if end > hi[i] {
-				hi[i] = end
-			}
-			if k < key[i] {
-				key[i] = k
-			}
-			return lo, hi, key
+func (r *soaRes) addIv(start, end float64, k int64) {
+	i := 0
+	for ; i < r.nIv; i++ {
+		if end >= r.ivLo[i]-schedule.TimeEps && start <= r.ivHi[i]+schedule.TimeEps {
+			break
 		}
 	}
-	if len(lo) == cap(lo) {
-		for i := 1; i < len(lo); i++ {
-			if lo[i] < lo[0] {
-				lo[0] = lo[i]
-			}
-			if hi[i] > hi[0] {
-				hi[0] = hi[i]
-			}
-			if key[i] < key[0] {
-				key[0] = key[i]
-			}
+	if i == mutIvCap {
+		for j := 1; j < r.nIv; j++ {
+			r.ivLo[0], r.ivHi[0], r.ivKey[0] = min(r.ivLo[0], r.ivLo[j]), max(r.ivHi[0], r.ivHi[j]), min(r.ivKey[0], r.ivKey[j])
 		}
-		lo, hi, key = lo[:1], hi[:1], key[:1]
-		if start < lo[0] {
-			lo[0] = start
-		}
-		if end > hi[0] {
-			hi[0] = end
-		}
-		if k < key[0] {
-			key[0] = k
-		}
-		return lo, hi, key
+		i, r.nIv = 0, 1
 	}
-	return append(lo, start), append(hi, end), append(key, k)
+	if i == r.nIv {
+		r.ivLo[i], r.ivHi[i], r.ivKey[i] = start, end, k
+		r.nIv++
+		return
+	}
+	r.ivLo[i], r.ivHi[i], r.ivKey[i] = min(r.ivLo[i], start), max(r.ivHi[i], end), min(r.ivKey[i], k)
 }
 
-// noteProcMut records the removal of the slot [start, end) keyed k from
-// p this epoch, minus the sub-span [covS, covE) that the removing item
+// queueOwner queues the item owning a slot of r, stamping it evicted
+// when its slot is being removed under it.
+func (b *soaBackend) queueOwner(r *soaRes, owner int64, evicted bool) {
+	en := b.en
+	if !r.link {
+		if evicted {
+			b.taskEvict[owner] = en.epoch
+		}
+		en.queueTask(graph.TaskID(owner))
+		return
+	}
+	e := schedule.MsgOwnerEdge(owner)
+	if evicted {
+		b.msgEvict[e] = en.epoch
+	}
+	en.queueMsg(e)
+}
+
+// noteMut records the removal of the slot [start, end) keyed k from r
+// this epoch, minus the sub-span [covS, covE) that the removing item
 // immediately re-covers with its replacement slot (pass covS >= covE
 // for none). The covered part stays occupied at every point a checker
 // can observe, so only the genuinely freed remainder can open a gap.
 // vis is the key of the item performing the removal (vis <= k always);
 // owners above it whose slots start after the freed space are queued
 // via the per-epoch watermark scan.
-func (b *soaBackend) noteProcMut(p system.ProcID, start, end, covS, covE float64, k, vis int64) {
+func (b *soaBackend) noteMut(r *soaRes, start, end, covS, covE float64, k, vis int64) {
+	epoch := b.en.epoch
 	if covE <= covS {
 		covS, covE = end, end
 	}
-	if b.procDivStamp[p] != b.en.epoch {
-		b.procDivStamp[p] = b.en.epoch
-		b.procIvLo[p] = b.procIvLo[p][:0]
-		b.procIvHi[p] = b.procIvHi[p][:0]
-		b.procIvKey[p] = b.procIvKey[p][:0]
+	if r.divStamp != epoch {
+		r.divStamp, r.nIv = epoch, 0
 	}
 	freedLo := math.Inf(1)
 	if e1 := math.Min(end, covS); e1 > start || end == start {
 		// A zero-length slot still blocks every fit that straddles it,
 		// so its removal frees its point.
-		b.procIvLo[p], b.procIvHi[p], b.procIvKey[p] =
-			addIv(b.procIvLo[p], b.procIvHi[p], b.procIvKey[p], start, math.Max(e1, start), k)
+		r.addIv(start, math.Max(e1, start), k)
 		freedLo = start
 	}
 	if s2 := math.Max(start, covE); end > s2 && covE > covS {
-		b.procIvLo[p], b.procIvHi[p], b.procIvKey[p] =
-			addIv(b.procIvLo[p], b.procIvHi[p], b.procIvKey[p], s2, end, k)
-		if s2 < freedLo {
-			freedLo = s2
-		}
+		r.addIv(s2, end, k)
+		freedLo = math.Min(freedLo, s2)
 	}
 	// A removal can only move the fit of an item whose window reaches the
 	// freed space: its slot starts after the freed region, and its key is
 	// above the remover's (it could see the slot). A fully re-covered
 	// removal frees nothing and affects nobody.
-	if !math.IsInf(freedLo, 1) {
-		hi := math.Inf(1)
-		if b.procScanStamp[p] == b.en.epoch {
-			if freedLo >= b.procScanLo[p] {
-				return
-			}
-			hi = b.procScanLo[p]
+	if math.IsInf(freedLo, 1) {
+		return
+	}
+	hi := math.Inf(1)
+	if r.scanStamp == epoch {
+		if freedLo >= r.scanLo {
+			return
 		}
-		b.procScanStamp[p] = b.en.epoch
-		b.procScanLo[p] = freedLo
-		tl := &b.procs[p]
-		for i := tl.searchStartAtLeast(freedLo - schedule.TimeEps); i < len(tl.slots); i++ {
-			if tl.slots[i].start >= hi-schedule.TimeEps {
-				break
-			}
-			if tl.slots[i].key > vis {
-				b.en.queueTask(graph.TaskID(tl.slots[i].owner))
-			}
+		hi = r.scanLo
+	}
+	r.scanStamp, r.scanLo = epoch, freedLo
+	for i := r.searchStartAtLeast(freedLo - schedule.TimeEps); i < len(r.slots); i++ {
+		if r.slots[i].start >= hi-schedule.TimeEps {
+			break
 		}
-	}
-}
-
-// noteLinkMut is noteProcMut for a link timeline.
-func (b *soaBackend) noteLinkMut(l system.LinkID, start, end, covS, covE float64, k, vis int64) {
-	if covE <= covS {
-		covS, covE = end, end
-	}
-	if b.linkDivStamp[l] != b.en.epoch {
-		b.linkDivStamp[l] = b.en.epoch
-		b.linkIvLo[l] = b.linkIvLo[l][:0]
-		b.linkIvHi[l] = b.linkIvHi[l][:0]
-		b.linkIvKey[l] = b.linkIvKey[l][:0]
-	}
-	freedLo := math.Inf(1)
-	if e1 := math.Min(end, covS); e1 > start || end == start {
-		b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l] =
-			addIv(b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l], start, math.Max(e1, start), k)
-		freedLo = start
-	}
-	if s2 := math.Max(start, covE); end > s2 && covE > covS {
-		b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l] =
-			addIv(b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l], s2, end, k)
-		if s2 < freedLo {
-			freedLo = s2
-		}
-	}
-	if !math.IsInf(freedLo, 1) {
-		hi := math.Inf(1)
-		if b.linkScanStamp[l] == b.en.epoch {
-			if freedLo >= b.linkScanLo[l] {
-				return
-			}
-			hi = b.linkScanLo[l]
-		}
-		b.linkScanStamp[l] = b.en.epoch
-		b.linkScanLo[l] = freedLo
-		tl := &b.links[l]
-		for i := tl.searchStartAtLeast(freedLo - schedule.TimeEps); i < len(tl.slots); i++ {
-			if tl.slots[i].start >= hi-schedule.TimeEps {
-				break
-			}
-			if tl.slots[i].key > vis {
-				b.en.queueMsg(schedule.MsgOwnerEdge(tl.slots[i].owner))
-			}
+		if r.slots[i].key > vis {
+			b.queueOwner(r, r.slots[i].owner, false)
 		}
 	}
 }
 
-// procClean reports whether p's content changes this epoch provably
-// cannot move a fit with visibility vis whose last placement was
+// clean reports whether r's content changes this epoch provably cannot
+// move a fit with visibility vis whose last placement was
 // [oldStart, oldEnd): no slot the checker could see was removed from the
-// span its earlier candidates were rejected over (see ivsClean). Removals
-// of slots keyed at or above vis never change the checker's view — those
-// slots were invisible to it to begin with — and the per-timeline
-// divergence flag is deliberately not consulted: an epoch of pure
-// insertions leaves every unchanged-input fit intact.
-func (b *soaBackend) procClean(p system.ProcID, ready, oldStart, oldEnd float64, vis int64) bool {
-	if b.procDivStamp[p] != b.en.epoch {
+// span its earlier candidates were rejected over. Removals of slots keyed
+// at or above vis never change the checker's view — those slots were
+// invisible to it to begin with — and no per-timeline divergence flag is
+// consulted: an epoch of pure insertions leaves every unchanged-input fit
+// intact.
+//
+// A fit of duration dur at candidate c is blocked by a slot [a, b) iff
+// b > c+eps and c+dur > a+eps (eps is the fit's overlap tolerance), so a
+// removal can only have blocked a candidate in [ready, oldStart) if it
+// reaches past ready+eps and starts before oldStart. A zero-length slot
+// at oldStart still counts: it blocks every earlier candidate that
+// straddles it without overlapping the placement. A fit shorter than
+// 2·eps is blocked by slots that end within eps of its candidate, so its
+// window also opens that much earlier: a zero-length fit at c is blocked
+// by [a, b) with c strictly inside, and no longer by a replacement that
+// starts at c.
+func (b *soaBackend) clean(r *soaRes, ready, oldStart, oldEnd float64, vis int64) bool {
+	if r.divStamp != b.en.epoch {
 		return true
 	}
-	return ivsClean(b.procIvLo[p], b.procIvHi[p], b.procIvKey[p], ready, oldStart, oldEnd, vis)
-}
-
-// linkClean is procClean for a link timeline.
-func (b *soaBackend) linkClean(l system.LinkID, ready, oldStart, oldEnd float64, vis int64) bool {
-	if b.linkDivStamp[l] != b.en.epoch {
-		return true
-	}
-	return ivsClean(b.linkIvLo[l], b.linkIvHi[l], b.linkIvKey[l], ready, oldStart, oldEnd, vis)
-}
-
-// ivsClean is the window test of procClean and linkClean over one
-// resource's removal intervals. A fit of duration dur at candidate c is
-// blocked by a slot [a, b) iff b > c+eps and c+dur > a+eps (eps is the
-// fit's overlap tolerance), so a removal can only have blocked a
-// candidate in [ready, oldStart) if it reaches past ready+eps and starts
-// before oldStart. A zero-length slot at oldStart still counts: it blocks
-// every earlier candidate that straddles it without overlapping the
-// placement. A fit shorter than 2·eps is blocked by slots that end
-// within eps of its candidate, so its window also opens that much
-// earlier: a zero-length fit at c is blocked by [a, b) with c strictly
-// inside, and no longer by a replacement that starts at c.
-func ivsClean(lo, hi []float64, key []int64, ready, oldStart, oldEnd float64, vis int64) bool {
 	from := ready + math.Min(oldEnd-oldStart, 2*schedule.TimeEps) - schedule.TimeEps
-	for i := range lo {
-		if key[i] < vis && hi[i] >= from && lo[i] <= oldStart+schedule.TimeEps {
+	for i := 0; i < r.nIv; i++ {
+		if r.ivKey[i] < vis && r.ivHi[i] >= from && r.ivLo[i] <= oldStart+schedule.TimeEps {
 			return false
 		}
 	}
 	return true
 }
 
-// insertEvictProc inserts a task slot, evicting (and queueing) any
-// invisible slot it overlaps. Visible slots cannot overlap — the fit that
-// produced the position avoided them — so eviction of one is a bug.
-func (b *soaBackend) insertEvictProc(p system.ProcID, start, end float64, owner, vis int64) {
-	tl := &b.procs[p]
-	idx := tl.searchStartAtLeast(start)
-	for idx > 0 && tl.slots[idx-1].end > start+schedule.TimeEps {
+// insertEvict inserts the slot [start, end) of the item keyed key,
+// evicting (and queueing) any invisible slot it overlaps. Visible slots
+// cannot overlap — the fit that produced the position avoided them — so
+// eviction of one is a bug.
+func (b *soaBackend) insertEvict(r *soaRes, start, end float64, owner, key int64) {
+	idx := r.searchStartAtLeast(start)
+	for idx > 0 && r.slots[idx-1].end > start+schedule.TimeEps {
 		idx--
-		sl := tl.slots[idx]
-		b.checkEvict(&sl, vis)
-		b.taskEvict[sl.owner] = b.en.epoch
-		b.en.queueTask(graph.TaskID(sl.owner))
-		b.noteProcMut(p, sl.start, sl.end, start, end, sl.key, vis)
-		tl.removeAt(idx)
+		b.evict(r, idx, start, end, key)
 	}
-	for idx < tl.len() && tl.slots[idx].start < end-schedule.TimeEps {
-		sl := tl.slots[idx]
-		if sl.end <= start+schedule.TimeEps {
+	for idx < r.len() && r.slots[idx].start < end-schedule.TimeEps {
+		if r.slots[idx].end <= start+schedule.TimeEps {
 			// A zero-length slot at start: the fit passes over it, so it
 			// stays, in front of the new slot.
 			idx++
 			continue
 		}
-		b.checkEvict(&sl, vis)
-		b.taskEvict[sl.owner] = b.en.epoch
-		b.en.queueTask(graph.TaskID(sl.owner))
-		b.noteProcMut(p, sl.start, sl.end, start, end, sl.key, vis)
-		tl.removeAt(idx)
+		b.evict(r, idx, start, end, key)
 	}
-	key := b.taskKey[owner]
-	tl.insertAt(tl.afterEarlierPoints(idx, start, end, key), start, end, owner, key)
+	r.insertAt(r.afterEarlierPoints(idx, start, end, key), start, end, owner, key)
 }
 
-// insertEvictLink is insertEvictProc for a message hop.
-func (b *soaBackend) insertEvictLink(l system.LinkID, start, end float64, owner, vis int64) {
-	tl := &b.links[l]
-	idx := tl.searchStartAtLeast(start)
-	for idx > 0 && tl.slots[idx-1].end > start+schedule.TimeEps {
-		idx--
-		sl := tl.slots[idx]
-		b.checkEvict(&sl, vis)
-		b.msgEvict[schedule.MsgOwnerEdge(sl.owner)] = b.en.epoch
-		b.en.queueMsg(schedule.MsgOwnerEdge(sl.owner))
-		b.noteLinkMut(l, sl.start, sl.end, start, end, sl.key, vis)
-		tl.removeAt(idx)
-	}
-	for idx < tl.len() && tl.slots[idx].start < end-schedule.TimeEps {
-		sl := tl.slots[idx]
-		if sl.end <= start+schedule.TimeEps {
-			idx++ // a zero-length slot at start, as in insertEvictProc
-			continue
-		}
-		b.checkEvict(&sl, vis)
-		b.msgEvict[schedule.MsgOwnerEdge(sl.owner)] = b.en.epoch
-		b.en.queueMsg(schedule.MsgOwnerEdge(sl.owner))
-		b.noteLinkMut(l, sl.start, sl.end, start, end, sl.key, vis)
-		tl.removeAt(idx)
-	}
-	key := b.msgKey[schedule.MsgOwnerEdge(owner)]
-	tl.insertAt(tl.afterEarlierPoints(idx, start, end, key), start, end, owner, key)
-}
-
-func (b *soaBackend) checkEvict(sl *soaSlot, vis int64) {
+// evict removes the invisible slot at i, which the insertion of [start,
+// end) by the item keyed vis overlaps, and queues its owner.
+func (b *soaBackend) evict(r *soaRes, i int, start, end float64, vis int64) {
+	sl := r.slots[i]
 	if sl.key <= vis {
 		panic(fmt.Sprintf("core: soa backend evicting visible slot (owner %d, key %d, visibility %d)",
 			sl.owner, sl.key, vis))
 	}
+	b.queueOwner(r, sl.owner, true)
+	b.noteMut(r, sl.start, sl.end, start, end, sl.key, vis)
+	r.removeAt(i)
 }

@@ -12,11 +12,12 @@ import (
 // TestIncrementalMatchesOracleBenchmarkSize holds both backends to the
 // full-rebuild oracle — schedule bytes and migration trace — at the
 // benchmark's scale: n=300–500 random layered graphs with min-normalized
-// heterogeneity 1–50 on the paper's four 16-processor topologies. The
-// other equivalence tests stay at ≤60 tasks, where link timelines hold a
-// few dozen hops; only here do they hold the hundreds of packed slots
-// over which the fit scans' rejected-run memo jumps. It takes about a
-// second (about ten under -race), so -short skips it.
+// heterogeneity 1–50 on the paper's four 16-processor topologies and on
+// a 64-processor ring, whose routes run up to 32 hops over long link
+// timelines. The other equivalence tests stay at ≤60 tasks, where link
+// timelines hold a few dozen hops; only here do they hold the hundreds
+// of packed slots over which the fit scans' rejected-run memo jumps. It
+// takes a few seconds (about twenty under -race), so -short skips it.
 func TestIncrementalMatchesOracleBenchmarkSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-size oracle comparison skipped under -short")
@@ -30,6 +31,7 @@ func TestIncrementalMatchesOracleBenchmarkSize(t *testing.T) {
 		{"ring-16", 500, func() (*system.Network, error) { return system.Ring(16) }},
 		{"hypercube-16", 500, func() (*system.Network, error) { return system.Hypercube(4) }},
 		{"mesh-4x4", 400, func() (*system.Network, error) { return system.Mesh2D(4, 4) }},
+		{"ring-64", 500, func() (*system.Network, error) { return system.Ring(64) }},
 	} {
 		rng := rand.New(rand.NewSource(int64(70 + i)))
 		g, err := gen.RandomLayered(tc.n, 1.0, rng)

@@ -349,11 +349,11 @@ func (tl *Timeline) ReserveEarliest(ready, dur float64, owner int64) float64 {
 }
 
 // AdoptSlots replaces the timeline's contents with the given slots, which
-// must be start-sorted and non-overlapping. Engine backends that maintain
-// slot state in their own layout use it to materialize a Timeline view for
-// validation and rendering.
+// must be start-sorted and non-overlapping; the timeline takes ownership
+// of the slice. A scheduler that keeps slot state in its own layout uses
+// it to materialize a Timeline view for validation and rendering.
 func (tl *Timeline) AdoptSlots(slots []Slot) {
-	tl.slots = append(tl.slots[:0], slots...)
+	tl.slots = slots
 	tl.memo, tl.short = fitMemo{}, 0
 	for _, s := range slots {
 		if isShort(s) {
